@@ -31,6 +31,7 @@ from .transport import (
     QuadratureError,
     bounds,
     bounds_sweep,
+    classified_bounds,
     comonotonic_expectation,
     countermonotonic_expectation,
     independent_expectation,
@@ -47,7 +48,7 @@ __all__ = [
     "MongeReport", "check_cross_difference", "check_mixed_partial",
     "QuadratureConfig", "QuadratureError", "ClassificationError", "Expectation", "BoundsResult",
     "comonotonic_expectation", "countermonotonic_expectation", "independent_expectation",
-    "bounds", "bounds_sweep", "working_domain",
+    "bounds", "bounds_sweep", "classified_bounds", "working_domain",
     "McEstimate", "mc_expectation", "empirical_correlation",
     "CollisionSpec", "CollisionResult", "analyze",
     "TwoRayGeometry", "path_lengths", "envelope", "envelope_trace", "envelope_correlation",

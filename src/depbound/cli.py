@@ -25,13 +25,7 @@ from .costs import builtin, parse_cost
 from .marginals import parse_marginal
 from .monge import check_cross_difference, check_mixed_partial
 from .sampler import NonFiniteCostError, mc_expectation
-from .transport import (
-    ClassificationError,
-    QuadratureError,
-    bounds,
-    bounds_sweep,
-    working_domain,
-)
+from .transport import ClassificationError, QuadratureError, bounds_sweep, classified_bounds
 
 __all__ = ["main", "run", "DEFAULT_SEED"]
 
@@ -134,8 +128,7 @@ def _cmd_bounds(args):
     cost = parse_cost(args.cost)
     fx = parse_marginal(args.fx)
     fy = parse_marginal(args.fy)
-    report = check_cross_difference(cost, working_domain(fx, fy), n=64)
-    result = bounds(cost, fx, fy, report, include_independent=args.independent)
+    result = classified_bounds(cost, fx, fy, include_independent=args.independent)
     payload = {
         "lower": result.lower,
         "upper": result.upper,
@@ -304,9 +297,7 @@ def _cmd_reproduce(args):
     else:
         fx = parse_marginal("exp:1")
         fy = parse_marginal("exp:2")
-        cost = parse_cost("sinr")
-        report = check_cross_difference(cost, working_domain(fx, fy), n=64)
-        result = bounds(cost, fx, fy, report, include_independent=True)
+        result = classified_bounds(parse_cost("sinr"), fx, fy, include_independent=True)
         payload = {"lower": result.lower, "upper": result.upper, "independent": result.independent}
         path = os.path.join(out_dir, "example1.json")
         _emit_json(payload, path)

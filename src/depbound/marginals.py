@@ -228,12 +228,9 @@ class Rician(Marginal):
         Per-component sigma of the underlying Gaussian pair.  The
         line-of-sight amplitude is ``scale * sqrt(2 k)``.
 
-    The cdf is the Marcum-Q series rearranged as a Poisson mixture,
-
-        F(x) = 1 - sum_j W_j * exp(-z) z^j / j!,   z = x^2 / (2 scale^2),
-
-    with W_j = P(Poisson(k) >= j), truncated once W_j < 1e-15.  The
-    quantile inverts F by bisection, driven to 1e-12 on the cdf scale.
+    (X / scale)^2 is noncentral chi-square with 2 degrees of freedom and
+    noncentrality 2k, so cdf and quantile are scipy's ``chndtr`` and
+    ``chndtrix`` on that scale.
     """
 
     k: float
@@ -245,68 +242,23 @@ class Rician(Marginal):
             raise ValueError(f"rician: k must be >= 0, got {self.k!r}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"rician: scale must be positive, got {self.scale!r}")
-        object.__setattr__(self, "_tail_weights", _poisson_tail_weights(self.k))
 
     @property
     def los_amplitude(self):
         return self.scale * math.sqrt(2.0 * self.k)
 
     def _cdf(self, x):
-        w = self._tail_weights
-        z = np.maximum(x, 0.0) ** 2 / (2.0 * self.scale * self.scale)
-        term = np.exp(-z)  # j = 0
-        acc = w[0] * term
-        for j in range(1, len(w)):
-            term = term * z / j
-            acc += w[j] * term
-        return np.where(x > 0.0, 1.0 - acc, 0.0)
+        return special.chndtr((np.maximum(x, 0.0) / self.scale) ** 2, 2.0, 2.0 * self.k)
 
     def _quantile(self, u):
-        lo = np.zeros_like(u)
-        hi_val = self.los_amplitude + 16.0 * self.scale
-        while float(self._cdf(np.array([hi_val]))[0]) < float(np.max(u)):
-            hi_val *= 2.0
-        hi = np.full_like(u, hi_val)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            resid = self._cdf(mid) - u
-            # Stop on the cdf residual AND the bracket width; the residual
-            # alone is too loose deep in the left tail where the density
-            # is tiny and du barely moves x.
-            if np.all(np.abs(resid) <= 1e-13) and np.all(
-                hi - lo <= 1e-12 * np.maximum(mid, 1e-300)
-            ):
-                break
-            above = resid >= 0.0
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        return 0.5 * (lo + hi)
+        return self.scale * np.sqrt(special.chndtrix(u, 2.0, 2.0 * self.k))
 
     def mean(self):
-        # No elementary closed form; integrate the quantile over (0, 1).
-        from .transport import QuadratureConfig, unit_quadrature
-
-        cached = self.__dict__.get("_mean")
-        if cached is None:
-            cached = unit_quadrature(self._quantile, QuadratureConfig()).value
-            object.__setattr__(self, "_mean", cached)
-        return cached
-
-
-def _poisson_tail_weights(k):
-    """Upper-tail weights W_j = P(Poisson(k) >= j), truncated below 1e-15."""
-    if k == 0.0:
-        return np.array([1.0])
-    pmf = math.exp(-k)
-    cdf_below = 0.0
-    weights = [1.0]
-    j = 0
-    while weights[-1] >= 1e-15 and j < 4000:
-        cdf_below += pmf
-        weights.append(max(1.0 - cdf_below, 0.0))
-        j += 1
-        pmf = pmf * k / j
-    return np.array(weights)
+        # scale * sqrt(pi/2) * exp(-k/2) * ((1+k) I0(k/2) + k I1(k/2)), with
+        # the exponential folded into the scaled Bessel functions.
+        half = 0.5 * self.k
+        bessel = (1.0 + self.k) * special.i0e(half) + self.k * special.i1e(half)
+        return float(self.scale * math.sqrt(math.pi / 2.0) * bessel)
 
 
 _FAMILIES = {

@@ -39,6 +39,7 @@ __all__ = [
     "independent_expectation",
     "bounds",
     "bounds_sweep",
+    "classified_bounds",
     "working_domain",
 ]
 
@@ -246,18 +247,8 @@ def _batch_unit_quadrature(g, width, cfg):
     errors = np.zeros(width)
     splits = 0
     while lo.size:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        points = mid[:, None] + half[:, None] * _GK_NODES
         which = np.repeat(idx, _GK_NODES.size)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = np.asarray(g(points.ravel(), which), dtype=float).reshape(points.shape)
-        if not np.all(np.isfinite(vals)):
-            bad = points.ravel()[np.flatnonzero(~np.isfinite(vals.ravel()))[0]]
-            raise QuadratureError(f"inner integrand returned a non-finite value at v={float(bad)!r}")
-        k15 = half * (vals @ _GK_WEIGHTS_15)
-        g7 = half * (vals[:, 1::2] @ _GK_WEIGHTS_7)
-        gap = np.abs(k15 - g7)
+        k15, gap = _panel_estimates(lambda v: g(v, which), lo, hi)
         running = np.abs(values[idx] + k15)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * running)
         done = gap <= tol
@@ -372,30 +363,46 @@ def working_domain(fx, fy):
     """Classification box (x0, x1, y0, y1) covering both marginals.
 
     Essentially the full support, edges trimmed at the 1e-4 quantile
-    level to keep extents finite for heavy tails.
+    level to keep extents finite for heavy tails.  A marginal whose
+    trimmed edge still overflows raises ``ClassificationError``: no grid
+    on an infinite box can certify the cost's structure.
     """
-    return (
-        float(fx.quantile(1e-4)),
-        float(fx.quantile(1.0 - 1e-4)),
-        float(fy.quantile(1e-4)),
-        float(fy.quantile(1.0 - 1e-4)),
-    )
+    with np.errstate(over="ignore"):
+        box = (
+            float(fx.quantile(1e-4)),
+            float(fx.quantile(1.0 - 1e-4)),
+            float(fy.quantile(1e-4)),
+            float(fy.quantile(1.0 - 1e-4)),
+        )
+    if not np.all(np.isfinite(box)):
+        raise ClassificationError(
+            f"classification box {box!r} is not finite; the marginals overflow "
+            "at the 1e-4 quantile level"
+        )
+    return box
+
+
+def classified_bounds(cost, fx, fy, config=None, include_independent=False):
+    """Classify ``cost`` on the marginals' working box, then bound it.
+
+    The report comes from cross-differences on a 64 x 64 grid over
+    ``working_domain(fx, fy)``; an unusable classification raises
+    ``ClassificationError`` exactly as ``bounds`` does.
+    """
+    report = check_cross_difference(cost, working_domain(fx, fy), n=64)
+    return bounds(cost, fx, fy, report, config, include_independent=include_independent)
 
 
 def bounds_sweep(cost_factory, params, fx, fy, config=None, include_independent=True):
-    """One classified BoundsResult per parameter value.
+    """One ``classified_bounds`` result per parameter value.
 
-    ``cost_factory(p)`` builds the cost for parameter ``p``; each
-    instance is classified by cross-differences on the marginals'
-    working box before its bounds are computed, and a classification of
-    neither/indeterminate aborts the sweep (propagated
-    ``ClassificationError``).
+    ``cost_factory(p)`` builds the cost for parameter ``p``; a
+    classification of neither/indeterminate aborts the sweep
+    (propagated ``ClassificationError``).
     """
-    rows = []
-    for p in params:
-        cost = cost_factory(p)
-        report = check_cross_difference(cost, working_domain(fx, fy), n=48)
-        rows.append(SweepRow(param=float(p), result=bounds(
-            cost, fx, fy, report, config, include_independent=include_independent
-        )))
-    return rows
+    return [
+        SweepRow(param=float(p), result=classified_bounds(
+            cost_factory(p), fx, fy, config, include_independent=include_independent
+        ))
+        for p in params
+    ]

@@ -342,6 +342,21 @@ class TestSubprocess:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--cost", "product"],
+        ["sweep", "--cost", "mac_rate1", "--range", "0:10:10"],
+    ], ids=["bounds", "sweep"])
+    def test_overflowing_working_box_is_numerical_error(self, argv):
+        # lognormal:0,400 overflows at its upper 1e-4 quantile, so no
+        # classification grid exists: one typed error, no leaked warning.
+        res = self._invoke([*argv, "--fx", "lognormal:0,400", "--fy", "exp:1"])
+        assert res.returncode == 2
+        assert res.stdout == b""
+        err = res.stderr.decode()
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Warning" not in err
+
     def test_error_goes_to_stderr_only(self):
         res = self._invoke(["bounds", "--cost", "nope", "--fx", "exp:1", "--fy", "exp:1"])
         assert res.returncode == 1

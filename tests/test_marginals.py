@@ -31,9 +31,6 @@ FAMILIES = [
     Rician(8.0, 1.0),
 ]
 
-CLOSED_FORM = [d for d in FAMILIES if not isinstance(d, Rician)]
-
-
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: f"{d.name}-{hash(d) & 0xffff:04x}")
 def test_quantile_cdf_round_trip(dist):
     u = np.linspace(1e-6, 1.0 - 1e-6, 2001)
@@ -67,7 +64,7 @@ def test_cdf_below_support_is_zero(dist):
     assert dist.cdf(-5.0) == 0.0 or isinstance(dist, Uniform)
 
 
-@pytest.mark.parametrize("dist", CLOSED_FORM, ids=lambda d: d.name)
+@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: d.name)
 def test_quantile_integral_matches_mean(dist):
     integral = unit_quadrature(dist.quantile).value
     assert integral == pytest.approx(dist.mean(), rel=1e-6)
@@ -106,7 +103,16 @@ def test_rician_mean_matches_bessel_form(k, scale):
         * math.exp(-half)
         * ((1.0 + k) * special.iv(0, half) + k * special.iv(1, half))
     )
-    assert Rician(k, scale).mean() == pytest.approx(expected, rel=1e-8)
+    assert Rician(k, scale).mean() == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("k,scale", [(1.5, 0.6), (8.0, 1.0)])
+def test_rician_left_tail_matches_asymptote(k, scale):
+    # For small x, F(x) ~ exp(-k) x^2 / (2 scale^2), so the quantile at
+    # tiny u is scale * sqrt(2 u e^k) up to relative corrections of order u e^k.
+    u = 1e-12
+    expected = scale * math.sqrt(2.0 * u * math.exp(k))
+    assert Rician(k, scale).quantile(u) == pytest.approx(expected, rel=1e-7)
 
 
 def test_nakagami_m_one_is_rayleigh():

@@ -16,10 +16,12 @@ from depbound.transport import (
     adaptive_quadrature,
     bounds,
     bounds_sweep,
+    classified_bounds,
     comonotonic_expectation,
     countermonotonic_expectation,
     independent_expectation,
     unit_quadrature,
+    working_domain,
 )
 
 E1 = Exponential(1.0)
@@ -171,6 +173,10 @@ class TestBounds:
         assert res.upper == pytest.approx(0.870, abs=5e-3)
         assert res.independent == pytest.approx(0.723, abs=5e-3)
         assert res.lower <= res.independent <= res.upper
+        # The one-call path is the same classification and the same bounds.
+        manual = bounds(cost, E1, E2, check_cross_difference(cost, working_domain(E1, E2), n=64),
+                        include_independent=True)
+        assert classified_bounds(cost, E1, E2, include_independent=True) == manual
 
     def test_supermodular_swaps_roles(self):
         cost = builtin("prop_fair")
