@@ -1,12 +1,13 @@
 """Command-line front end: batch computations, machine-readable output.
 
-Every subcommand computes, prints one JSON object or CSV table, and
-exits: 0 on success, 1 on a usage problem, 2 on a numerical failure
-(quadrature non-convergence, unusable lattice classification, NaN out
-of a cost).  Errors go to stderr as a single ``error: ...`` line.
-Numbers are serialized with 12 significant digits so reruns diff
-cleanly; the Monte Carlo seed defaults to DEFAULT_SEED, overridable by
-the DEPBOUND_SEED environment variable and then by ``--seed``.
+Every subcommand handler returns its data; ``run`` writes it once, as
+JSON or (where the command has a table) CSV, and exits: 0 on success,
+1 on a usage problem, 2 on a numerical failure (quadrature
+non-convergence, unusable lattice classification, NaN out of a cost).
+Errors go to stderr as a single ``error: ...`` line.  Numbers are
+serialized with 12 significant digits so reruns diff cleanly; the Monte
+Carlo seed defaults to DEFAULT_SEED, overridable by the DEPBOUND_SEED
+environment variable and then by ``--seed``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .monge import check_cross_difference, check_mixed_partial
 from .sampler import NonFiniteCostError, mc_expectation
 from .transport import ClassificationError, QuadratureError, bounds_sweep, classified_bounds
 
-__all__ = ["main", "run", "DEFAULT_SEED"]
+__all__ = ["run", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 1729
 
@@ -63,9 +64,22 @@ def _round_tree(obj):
     return obj
 
 
-def _emit(text, out_path):
-    if not text.endswith("\n"):
-        text += "\n"
+def _cell(v):
+    if v is None:
+        return ""
+    return v if isinstance(v, str) else f"{v:.12g}"
+
+
+def _write(result, fmt, out_path):
+    """Write a handler's ``(payload, table)`` once: CSV when asked for and
+    the command has a table, JSON otherwise; to ``out_path`` or stdout."""
+    payload, table = result
+    if fmt == "csv" and table is not None:
+        header, rows = table
+        text = "\n".join([",".join(header), *(",".join(map(_cell, row)) for row in rows)])
+    else:
+        text = json.dumps(_round_tree(payload))
+    text += "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -73,15 +87,9 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _emit_json(obj, out_path):
-    _emit(json.dumps(_round_tree(obj)), out_path)
-
-
-def _emit_csv(header, rows, out_path):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else f"{v:.12g}" for v in row))
-    _emit("\n".join(lines), out_path)
+def _one_row(record):
+    """A one-row ``(header, rows)`` table from a flat dict."""
+    return tuple(record), [tuple(record.values())]
 
 
 def _parse_range(text, count_means_grid=False):
@@ -141,11 +149,7 @@ def _cmd_bounds(args):
         truncation_bound=result.truncation_bound,
         classification=result.classification_used,
     )
-    if args.format == "csv":
-        _emit_csv(("lower", "upper", "independent"), [(result.lower, result.upper, result.independent)], args.out)
-    else:
-        _emit_json(payload, args.out)
-    return 0
+    return payload, _one_row({"lower": result.lower, "upper": result.upper, "independent": result.independent})
 
 
 def _cmd_sweep(args):
@@ -157,24 +161,19 @@ def _cmd_sweep(args):
     rows = bounds_sweep(
         lambda p: builtin(name, **{key: p}), values, fx, fy, include_independent=True
     )
-    if args.format == "csv":
-        header = ("snr" if key == "snr_db" else key, "min", "max", "ind")
-        table = [(r.param, r.result.lower, r.result.upper, r.result.independent) for r in rows]
-        _emit_csv(header, table, args.out)
-    else:
-        payload = [
-            {
-                "param": r.param,
-                "lower": r.result.lower,
-                "upper": r.result.upper,
-                "independent": r.result.independent,
-                "lower_err": r.result.lower_err,
-                "upper_err": r.result.upper_err,
-            }
-            for r in rows
-        ]
-        _emit_json(payload, args.out)
-    return 0
+    payload = [
+        {
+            "param": r.param,
+            "lower": r.result.lower,
+            "upper": r.result.upper,
+            "independent": r.result.independent,
+            "lower_err": r.result.lower_err,
+            "upper_err": r.result.upper_err,
+        }
+        for r in rows
+    ]
+    header = ("snr" if key == "snr_db" else key, "min", "max", "ind")
+    return payload, (header, [(r["param"], r["lower"], r["upper"], r["independent"]) for r in payload])
 
 
 def _cmd_mc(args):
@@ -184,11 +183,7 @@ def _cmd_mc(args):
     kind = {"co": "comonotonic", "counter": "countermonotonic", "ind": "independent"}[args.coupling]
     est = mc_expectation(cost, fx, fy, kind, args.n, _resolve_seed(args))
     payload = {"value": est.value, "stderr": est.stderr, "n": est.n, "seed": est.seed}
-    if args.format == "csv":
-        _emit_csv(("value", "stderr", "n", "seed"), [(est.value, est.stderr, est.n, est.seed)], args.out)
-    else:
-        _emit_json(payload, args.out)
-    return 0
+    return payload, _one_row(payload)
 
 
 def _cmd_monge(args):
@@ -205,15 +200,7 @@ def _cmd_monge(args):
         "max_violation": report.max_violation,
         "violation_count": report.violation_count,
     }
-    if args.format == "csv":
-        _emit(
-            "classification,max_violation,violation_count\n"
-            f"{report.classification},{report.max_violation:.12g},{report.violation_count}",
-            args.out,
-        )
-    else:
-        _emit_json(payload, args.out)
-    return 0
+    return payload, _one_row(payload)
 
 
 def _cmd_collision(args):
@@ -229,8 +216,7 @@ def _cmd_collision(args):
         payload["p11"] = args.p11
         payload["u"] = collision_mod.success_from_p11(spec, args.p11)
         payload["rho"] = None if spec.degenerate() else collision_mod.rho_from_p11(spec, args.p11)
-    _emit_json(payload, args.out)
-    return 0
+    return payload, None
 
 
 def _geometry_from(args):
@@ -243,24 +229,19 @@ def _cmd_tworay_trace(args):
     geom = _geometry_from(args)
     lo, hi, n = _parse_range(args.d, count_means_grid=True)
     d, x1, x2 = tworay_mod.envelope_trace(geom, np.linspace(lo, hi, n))
-    if args.format == "json":
-        _emit_json({"distance": list(d), "x1": list(x1), "x2": list(x2)}, args.out)
-    else:
-        _emit_csv(("distance", "x1", "x2"), zip(d, x1, x2), args.out)
-    return 0
+    return {"distance": list(d), "x1": list(x1), "x2": list(x2)}, (("distance", "x1", "x2"), zip(d, x1, x2))
 
 
 def _cmd_tworay_corr(args):
     geom = _geometry_from(args)
     lo, hi, n = _parse_range(args.d, count_means_grid=True)
     rho = tworay_mod.envelope_correlation(geom, lo, hi, n)
-    _emit_json({"rho": rho, "n": n}, args.out)
-    return 0
+    payload = {"rho": rho, "n": n}
+    return payload, _one_row(payload)
 
 
-# Parameter presets for the bundled example scenarios.
-_TRACE_GEOMETRY = {"a1": 1.0, "a2": 0.5, "f": 2e9, "htx": 10.0, "h1": 1.0}
-_TRACE_SPAN = (20.0, 50.0)
+# The bundled example scenarios, each run as the subcommand that computes it.
+_FIG1_GEOMETRY = ["--f", "2e9", "--htx", "10", "--h1", "1", "--a1", "1", "--a2", "0.5"]
 
 
 def _cmd_reproduce(args):
@@ -269,68 +250,53 @@ def _cmd_reproduce(args):
     if args.preset == "fig1":
         files = []
         rhos = {}
-        for dh in (0.05, 0.1):
-            geom = tworay_mod.TwoRayGeometry(
-                a1=_TRACE_GEOMETRY["a1"], a2=_TRACE_GEOMETRY["a2"], f=_TRACE_GEOMETRY["f"],
-                h_tx=_TRACE_GEOMETRY["htx"], h1=_TRACE_GEOMETRY["h1"], dh=dh,
-            )
-            d, x1, x2 = tworay_mod.envelope_trace(geom, np.linspace(*_TRACE_SPAN, 1001))
-            path = os.path.join(out_dir, f"fig1_dh{dh:g}.csv")
-            _emit_csv(("distance", "x1", "x2"), zip(d, x1, x2), path)
+        for dh in ("0.05", "0.1"):
+            geometry = [*_FIG1_GEOMETRY, "--dh", dh]
+            path = os.path.join(out_dir, f"fig1_dh{dh}.csv")
+            _, trace = _call(["tworay", "trace", *geometry, "--d", "20:50:1001"])
+            _write(trace, "csv", path)
             files.append(path)
-            rhos[f"dh={dh:g}"] = tworay_mod.envelope_correlation(geom, *_TRACE_SPAN, 100_000)
-        _emit_json({"preset": "fig1", "parameters": {**_TRACE_GEOMETRY, "d": list(_TRACE_SPAN)},
-                    "rho": rhos, "files": files}, None)
+            _, (corr, _) = _call(["tworay", "corr", *geometry, "--d", "20:50:100000"])
+            rhos[f"dh={dh}"] = corr["rho"]
+        payload = {"preset": "fig1", "parameters": {"a1": 1.0, "a2": 0.5, "f": 2e9, "htx": 10.0, "h1": 1.0,
+                   "d": [20.0, 50.0]}, "rho": rhos, "files": files}
     elif args.preset == "fig2":
-        fx = parse_marginal("exp:1")
-        fy = parse_marginal("exp:1")
-        snrs = list(range(-5, 21))
-        rows = bounds_sweep(lambda p: builtin("mac_rate1", snr_db=p), snrs, fx, fy)
         path = os.path.join(out_dir, "fig2.csv")
-        _emit_csv(
-            ("snr", "min", "max", "ind"),
-            [(r.param, r.result.lower, r.result.upper, r.result.independent) for r in rows],
-            path,
-        )
-        _emit_json({"preset": "fig2", "parameters": {"cost": "mac_rate1", "snr_db": [-5, 20],
-                    "fx": "exp:1", "fy": "exp:1"}, "files": [path]}, None)
+        _, sweep = _call(["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1", "--range", "-5:20:1"])
+        _write(sweep, "csv", path)
+        payload = {"preset": "fig2", "parameters": {"cost": "mac_rate1", "snr_db": [-5, 20],
+                   "fx": "exp:1", "fy": "exp:1"}, "files": [path]}
     else:
-        fx = parse_marginal("exp:1")
-        fy = parse_marginal("exp:2")
-        result = classified_bounds(parse_cost("sinr"), fx, fy, include_independent=True)
-        payload = {"lower": result.lower, "upper": result.upper, "independent": result.independent}
         path = os.path.join(out_dir, "example1.json")
-        _emit_json(payload, path)
-        _emit_json({"preset": "example1", "parameters": {"cost": "sinr", "fx": "exp:1", "fy": "exp:2"},
-                    **payload, "files": [path]}, None)
-    return 0
+        _, (bounds, _) = _call(["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2", "--independent"])
+        triple = {key: bounds[key] for key in ("lower", "upper", "independent")}
+        _write((triple, None), "json", path)
+        payload = {"preset": "example1", "parameters": {"cost": "sinr", "fx": "exp:1", "fy": "exp:2"},
+                   **triple, "files": [path]}
+    return payload, None
 
 
 def build_parser():
     parser = _Parser(prog="depbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="dependence bounds for one cost and marginal pair")
-    p.add_argument("--cost", required=True, help="cost spec, e.g. sinr or mac_rate1:s=0.5")
-    p.add_argument("--fx", required=True, help="marginal spec, e.g. exp:1")
-    p.add_argument("--fy", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--cost", required=True, help="cost spec, e.g. sinr or mac_rate1:s=0.5")
+    pair.add_argument("--fx", required=True, help="marginal spec, e.g. exp:1")
+    pair.add_argument("--fy", required=True)
+
+    p = sub.add_parser("bounds", parents=[pair], help="dependence bounds for one cost and marginal pair")
     p.add_argument("--independent", action="store_true", help="also compute the independence baseline")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("sweep", help="bounds swept over a cost parameter")
-    p.add_argument("--cost", required=True)
-    p.add_argument("--fx", required=True)
-    p.add_argument("--fy", required=True)
+    p = sub.add_parser("sweep", parents=[pair], help="bounds swept over a cost parameter")
     p.add_argument("--param", default="snr_db")
     p.add_argument("--range", required=True, metavar="START:STOP:STEP")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("mc", help="Monte Carlo estimate under a coupling")
-    p.add_argument("--cost", required=True)
-    p.add_argument("--fx", required=True)
-    p.add_argument("--fy", required=True)
+    p = sub.add_parser("mc", parents=[pair], help="Monte Carlo estimate under a coupling")
     p.add_argument("--coupling", required=True, choices=("co", "counter", "ind"))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", type=int, default=None,
@@ -379,22 +345,24 @@ def build_parser():
     return parser
 
 
+def _call(argv):
+    """Parse ``argv`` and run its handler: ``(args, (payload, table))``."""
+    args = build_parser().parse_args(argv)
+    return args, args.handler(args)
+
+
 def run(argv=None):
-    """Parse and execute; returns the process exit code."""
-    parser = build_parser()
+    """Parse, execute and write the result; returns the process exit code."""
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        args, result = _call(argv)
+        _write(result, getattr(args, "format", "json"), getattr(args, "out", None))
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureError, ClassificationError, NonFiniteCostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None):
-    return run(argv)

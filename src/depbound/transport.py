@@ -19,7 +19,7 @@ eps * (|f(eps)| + |f(1 - eps)|) instead of being silently dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -278,12 +278,7 @@ def independent_expectation(cost, fx, fy, config=None):
     chases noise it can never integrate away.
     """
     cfg = config or DEFAULT_CONFIG
-    inner_cfg = QuadratureConfig(
-        rel_tol=cfg.rel_tol * 1e-2,
-        abs_tol=cfg.abs_tol * 1e-2,
-        truncation_eps=cfg.truncation_eps,
-        max_subdivisions=cfg.max_subdivisions,
-    )
+    inner_cfg = replace(cfg, rel_tol=cfg.rel_tol * 1e-2, abs_tol=cfg.abs_tol * 1e-2)
     qx, qy = fx.quantile, fy.quantile
     eps = cfg.truncation_eps
     y_edges = qy(np.array([eps, 1.0 - eps]))

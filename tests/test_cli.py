@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from depbound import cli
 from depbound.cli import DEFAULT_SEED, run
 
 
@@ -248,6 +249,11 @@ class TestTworay:
         assert doc["n"] == 100000
         assert doc["rho"] == pytest.approx(0.3105, abs=0.01)
 
+    def test_corr_csv(self, capsys):
+        rows = _rows(_ok(capsys, ["tworay", "corr", *self.GEOM, "--d", "20:50:1000", "--csv"]))
+        assert rows[0] == ["rho", "n"]
+        assert rows[1][1] == "1000"
+
     def test_bad_grid_spec(self, capsys):
         _fail(capsys, ["tworay", "trace", *self.GEOM, "--d", "50:20:100"], 1)
         _fail(capsys, ["tworay", "corr", *self.GEOM, "--d", "20:50:1"], 1)
@@ -256,6 +262,32 @@ class TestTworay:
         argv = ["tworay", "corr", "--f", "2e9", "--htx", "10", "--h1", "1",
                 "--dh", "-2", "--a1", "1", "--a2", "0.5", "--d", "20:50:1000"]
         _fail(capsys, argv, 1)
+
+
+class TestOutputFormats:
+    """Every command with ``--csv`` prints a table there and JSON under ``--json``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2"],
+        ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1", "--range", "0:10:10"],
+        ["mc", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2", "--coupling", "co", "--n", "1000"],
+        ["monge", "--cost", "sinr", "--domain", "0,10,0,10", "--grid", "16"],
+        ["tworay", "trace", *TestTworay.GEOM, "--d", "20:50:11"],
+        ["tworay", "corr", *TestTworay.GEOM, "--d", "20:50:1000"],
+    ], ids=["bounds", "sweep", "mc", "monge", "tworay-trace", "tworay-corr"])
+    def test_csv_and_json(self, capsys, argv):
+        rows = _rows(_ok(capsys, [*argv, "--csv"]))
+        assert len(rows) >= 2
+        assert all(len(row) == len(rows[0]) for row in rows)
+        json.loads(_ok(capsys, [*argv, "--json"]))
+
+    def test_memory_error_is_usage_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. TiB for an array")
+
+        monkeypatch.setattr(cli, "check_cross_difference", exhausted)
+        err = _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,1,0,1", "--grid", "10000000"], 1)
+        assert "Unable to allocate" in err
 
 
 class TestReproduce:
@@ -292,6 +324,26 @@ class TestReproduce:
         assert doc["independent"] == pytest.approx(0.722657216659, abs=1e-9)
         echoed = json.loads(out)
         assert echoed["lower"] == doc["lower"]
+
+
+    def test_fig1_trace_is_tworay_trace(self, capsys, tmp_path):
+        _ok(capsys, ["reproduce", "fig1", "--out-dir", str(tmp_path)])
+        trace = _ok(capsys, ["tworay", "trace", "--f", "2e9", "--htx", "10", "--h1", "1", "--a1", "1",
+                             "--a2", "0.5", "--dh", "0.05", "--d", "20:50:1001"])
+        assert (tmp_path / "fig1_dh0.05.csv").read_text() == trace
+
+    def test_fig2_is_sweep_csv(self, capsys, tmp_path):
+        _ok(capsys, ["reproduce", "fig2", "--out-dir", str(tmp_path)])
+        sweep = _ok(capsys, ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1",
+                             "--range", "-5:20:1", "--csv"])
+        assert (tmp_path / "fig2.csv").read_text() == sweep
+
+    def test_example1_is_bounds_triple(self, capsys, tmp_path):
+        _ok(capsys, ["reproduce", "example1", "--out-dir", str(tmp_path)])
+        bounds = json.loads(_ok(capsys, ["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2",
+                                         "--independent"]))
+        example = json.loads((tmp_path / "example1.json").read_text())
+        assert example == {key: bounds[key] for key in ("lower", "upper", "independent")}
 
 
 class TestUsageErrors:
