@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -102,6 +103,8 @@ def _parse_range(text, count_means_grid=False):
         last = int(parts[2]) if count_means_grid else float(parts[2])
     except ValueError:
         raise _UsageError(f"non-numeric range component in {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, last))):
+        raise _UsageError(f"range components must be finite, got {text!r}")
     if count_means_grid:
         if last < 2 or not start < stop:
             raise _UsageError(f"grid range needs start < stop and N >= 2, got {text!r}")

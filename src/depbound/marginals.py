@@ -6,6 +6,11 @@ the workhorse of the whole package: both the coupling integrals and the
 Monte Carlo sampler are built on ``quantile(u)`` for uniform ``u``, so
 cdf/quantile round-trips have to be tight (1e-9 relative or better away
 from the support edges).
+
+Nakagami, LogNormal and Rician import ``scipy.special`` inside the
+methods that call it.  Importing scipy costs more than most CLI commands
+compute, so ``import depbound`` loads only numpy and the standard
+library, and commands on the other families never pay for scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "Marginal",
@@ -176,13 +180,19 @@ class Nakagami(Marginal):
             raise ValueError(f"nakagami: omega must be positive, got {self.omega!r}")
 
     def _cdf(self, x):
+        from scipy import special
+
         z = np.maximum(x, 0.0)
         return np.where(x > 0.0, special.gammainc(self.m, self.m * z * z / self.omega), 0.0)
 
     def _quantile(self, u):
+        from scipy import special
+
         return np.sqrt(self.omega / self.m * special.gammaincinv(self.m, u))
 
     def mean(self):
+        from scipy import special
+
         # Gamma(m + 1/2) / Gamma(m) in log space; the ratio overflows early otherwise.
         ratio = math.exp(special.gammaln(self.m + 0.5) - special.gammaln(self.m))
         return ratio * math.sqrt(self.omega / self.m)
@@ -203,12 +213,16 @@ class LogNormal(Marginal):
             raise ValueError(f"lognormal: sigma must be positive, got {self.sigma!r}")
 
     def _cdf(self, x):
+        from scipy import special
+
         out = np.zeros_like(x)
         pos = x > 0.0
         out[pos] = special.ndtr((np.log(x[pos]) - self.mu) / self.sigma)
         return out
 
     def _quantile(self, u):
+        from scipy import special
+
         return np.exp(self.mu + self.sigma * special.ndtri(u))
 
     def mean(self):
@@ -248,12 +262,18 @@ class Rician(Marginal):
         return self.scale * math.sqrt(2.0 * self.k)
 
     def _cdf(self, x):
+        from scipy import special
+
         return special.chndtr((np.maximum(x, 0.0) / self.scale) ** 2, 2.0, 2.0 * self.k)
 
     def _quantile(self, u):
+        from scipy import special
+
         return self.scale * np.sqrt(special.chndtrix(u, 2.0, 2.0 * self.k))
 
     def mean(self):
+        from scipy import special
+
         # scale * sqrt(pi/2) * exp(-k/2) * ((1+k) I0(k/2) + k I1(k/2)), with
         # the exponential folded into the scaled Bessel functions.
         half = 0.5 * self.k

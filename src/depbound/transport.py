@@ -263,6 +263,10 @@ def _batch_unit_quadrature(g, width, cfg):
                 f"inner quadrature: no convergence within {cfg.max_subdivisions} subdivisions"
             )
         mid = 0.5 * (lo + hi)
+        if np.any((mid <= lo) | (mid >= hi)):
+            raise QuadratureError(
+                f"inner quadrature: panel width underflow near u={float(lo[np.argmin(hi - lo)])!r}"
+            )
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
         idx = np.concatenate([idx, idx])

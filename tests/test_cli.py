@@ -367,6 +367,51 @@ class TestUsageErrors:
         _fail(capsys, ["mc", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:1",
                        "--coupling", "comonotone", "--n", "1000"], 1)
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1", "--range", "0:inf:1"],
+        ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1", "--range", "0:1:inf"],
+        ["tworay", "trace", *TestTworay.GEOM, "--d", "20:inf:10"],
+    ], ids=["sweep-stop", "sweep-step", "tworay-stop"])
+    def test_non_finite_range(self, capsys, argv):
+        assert "finite" in _fail(capsys, argv, 1)
+
+
+class TestColdStart:
+    """Only the Nakagami, LogNormal and Rician families load scipy, on first use."""
+
+    @staticmethod
+    def _modules_after(code):
+        # Runs ``code`` in a fresh interpreter; reports whether scipy got loaded.
+        script = f"import sys\n{code}\nprint('scipy' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return res.stdout.splitlines()
+
+    def test_import_leaves_scipy_unloaded(self):
+        assert self._modules_after("import depbound, depbound.cli") == ["False"]
+
+    def test_exponential_command_leaves_scipy_unloaded(self):
+        lines = self._modules_after(
+            "from depbound import cli\n"
+            "assert cli.run(['bounds', '--cost', 'sinr', '--fx', 'exp:1', '--fy', 'exp:2',"
+            " '--independent']) == 0"
+        )
+        assert lines[-1] == "False"
+        assert set(json.loads(lines[0])) >= {"lower", "upper", "independent"}
+
+    @pytest.mark.parametrize("spec, expected", [
+        ("nakagami:2,1.5", 0.9072000374931753),
+        ("lognormal:0.5,0.8", 1.0838067257408526),
+        ("rician:1.5,0.6", 0.9238527090341115),
+    ])
+    def test_scipy_families_load_it_on_first_quantile(self, spec, expected):
+        lines = self._modules_after(
+            "from depbound import parse_marginal\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"print(repr(parse_marginal({spec!r}).quantile(0.3)))"
+        )
+        assert lines == [repr(expected), "True"]
+
 
 class TestSubprocess:
     """The installed entry point, exercised as a real process."""

@@ -13,6 +13,7 @@ from depbound.transport import (
     ClassificationError,
     QuadratureConfig,
     QuadratureError,
+    _batch_unit_quadrature,
     adaptive_quadrature,
     bounds,
     bounds_sweep,
@@ -74,6 +75,21 @@ class TestEngine:
         cfg = QuadratureConfig(max_subdivisions=4)
         with pytest.raises(QuadratureError, match="subdivisions"):
             adaptive_quadrature(lambda x: np.sign(x - 1 / math.pi) * np.exp(x), 0.0, 1.0, cfg)
+
+    @pytest.mark.parametrize("engine", ["adaptive", "batch"])
+    def test_panel_width_underflow_raises(self, engine):
+        # A jump at u = 1/2 onto a 1/sqrt spike: the panel that starts at
+        # 1/2 never meets these tolerances, so bisection runs it down to
+        # one ulp, where its midpoint rounds onto an endpoint.
+        def f(v):
+            return np.where(v < 0.5, 0.0, 1.0 / np.sqrt(np.maximum(v - 0.5, 0.0) + 2.0**-54))
+
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
+        with pytest.raises(QuadratureError, match=r"underflow near u=0\.5"):
+            if engine == "adaptive":
+                adaptive_quadrature(f, cfg.truncation_eps, 1.0 - cfg.truncation_eps, cfg)
+            else:
+                _batch_unit_quadrature(lambda v, which: f(v) * (which + 1), 2, cfg)
 
     def test_empty_interval(self):
         assert adaptive_quadrature(np.exp, 1.0, 1.0) == (0.0, 0.0)
