@@ -32,6 +32,8 @@ from .transport import ClassificationError, QuadratureError, bounds_sweep, class
 __all__ = ["run", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 1729
+# Most points a --range or --d grid may hold; the largest shipped grid is 100,000.
+_MAX_POINTS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -108,9 +110,15 @@ def _parse_range(text, count_means_grid=False):
     if count_means_grid:
         if last < 2 or not start < stop:
             raise _UsageError(f"grid range needs start < stop and N >= 2, got {text!r}")
+        count = last
+    else:
+        if last <= 0 or not start <= stop:
+            raise _UsageError(f"range needs start <= stop and step > 0, got {text!r}")
+        count = (stop - start) / last + 1
+    if count > _MAX_POINTS:
+        raise _UsageError(f"range {text!r} has {count:.0f} points; at most {_MAX_POINTS} are allowed")
+    if count_means_grid:
         return start, stop, last
-    if last <= 0 or not start <= stop:
-        raise _UsageError(f"range needs start <= stop and step > 0, got {text!r}")
     n = int(round((stop - start) / last))
     return [start + k * last for k in range(n + 1) if start + k * last <= stop + 1e-12 * max(1.0, abs(stop))]
 
@@ -366,6 +374,9 @@ def run(argv=None):
     except (QuadratureError, ClassificationError, NonFiniteCostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,11 +8,13 @@ supermodular cost the roles swap (apply the submodular result to -c).
 Everything here reduces to 1-D quadrature of quantile couplings on
 (0, 1), plus a nested pass for the independent baseline.
 
-The quadrature engine is an adaptive Gauss-Kronrod 7/15 pair on a
-worklist of panels: the 15-point value is kept, the |K15 - G7| gap is
-the panel's error estimate, and panels whose gap exceeds the running
-tolerance are bisected.  Endpoints are truncated to [eps, 1 - eps] and
-the discarded tails are reported as an explicit truncation bound
+The quadrature engine is an adaptive Gauss-Kronrod 7/15 pair on one
+worklist of panels, which carries a single integral or all the inner
+integrals of the nested pass at once.  The 15-point value is kept, the
+|K15 - G7| gap is the panel's error estimate, and a panel is bisected
+while its gap exceeds max(abs_tol, rel_tol * |running total of its own
+integrand|).  Endpoints are truncated to [eps, 1 - eps] and the
+discarded tails are reported as an explicit truncation bound
 eps * (|f(eps)| + |f(1 - eps)|) instead of being silently dropped.
 """
 
@@ -159,12 +161,50 @@ def _panel_estimates(f, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
+def _gk_worklist(f, lo, hi, cfg):
+    """Integrate ``lo.size`` integrands on one worklist; returns (values, errors).
+
+    Integrand ``i`` runs over [lo[i], hi[i]], and ``f(points, which)``
+    evaluates integrand ``which[k]`` at ``points[k]``.  A panel is
+    accepted once its gap is at most max(abs_tol, rel_tol * |running
+    integral of its own integrand|), the running integral being that
+    integrand's accepted value plus its in-flight K15 values.  The rest
+    are bisected, breadth-first, on one ``max_subdivisions`` budget.
+    """
+    width = lo.size
+    idx = np.arange(width)
+    values = np.zeros(width)
+    errors = np.zeros(width)
+    splits = 0
+    while lo.size:
+        which = np.repeat(idx, _GK_NODES.size)
+        k15, gap = _panel_estimates(lambda u: f(u, which), lo, hi)
+        running = values + np.bincount(idx, k15, minlength=width)
+        done = gap <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(running[idx]))
+        values += np.bincount(idx[done], k15[done], minlength=width)
+        errors += np.bincount(idx[done], gap[done], minlength=width)
+        lo, hi, idx = lo[~done], hi[~done], idx[~done]
+        if lo.size == 0:
+            break
+        splits += lo.size
+        if splits > cfg.max_subdivisions:
+            raise QuadratureError(
+                f"no convergence within {cfg.max_subdivisions} subdivisions ({lo.size} panels open)"
+            )
+        mid = 0.5 * (lo + hi)
+        if np.any((mid <= lo) | (mid >= hi)):
+            raise QuadratureError(f"panel width underflow near u={float(lo[np.argmin(hi - lo)])!r}")
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([mid, hi])
+        idx = np.concatenate([idx, idx])
+    return values, errors
+
+
 def adaptive_quadrature(f, a, b, config=None):
     """Integrate vectorized ``f`` over [a, b]; returns (value, error_estimate).
 
-    Panels whose rule gap exceeds max(abs_tol, rel_tol * |running
-    integral|) are bisected, breadth-first, until all pass or the
-    subdivision budget is exhausted.
+    The worklist of ``_gk_worklist`` with one integrand, so the same
+    acceptance rule, subdivision budget and underflow check apply.
     """
     cfg = config or DEFAULT_CONFIG
     a = float(a)
@@ -173,33 +213,8 @@ def adaptive_quadrature(f, a, b, config=None):
         raise ValueError(f"bad integration interval [{a!r}, {b!r}]")
     if a == b:
         return 0.0, 0.0
-
-    lo = np.array([a])
-    hi = np.array([b])
-    value = 0.0
-    error = 0.0
-    splits = 0
-    while lo.size:
-        k15, gap = _panel_estimates(f, lo, hi)
-        running = value + float(k15.sum())
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(running))
-        done = gap <= tol
-        value += float(k15[done].sum())
-        error += float(gap[done].sum())
-        lo, hi = lo[~done], hi[~done]
-        if lo.size == 0:
-            break
-        splits += lo.size
-        if splits > cfg.max_subdivisions:
-            raise QuadratureError(
-                f"no convergence within {cfg.max_subdivisions} subdivisions on [{a}, {b}]"
-            )
-        mid = 0.5 * (lo + hi)
-        if np.any((mid <= lo) | (mid >= hi)):
-            raise QuadratureError(f"panel width underflow near u={float(lo[np.argmin(hi - lo)])!r}")
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-    return value, error
+    values, errors = _gk_worklist(lambda u, which: f(u), np.array([a]), np.array([b]), cfg)
+    return float(values[0]), float(errors[0])
 
 
 def _edge_values(f, eps):
@@ -232,84 +247,39 @@ def countermonotonic_expectation(cost, fx, fy, config=None):
     return unit_quadrature(lambda u: cost(qx(u), qy(1.0 - u)), config)
 
 
-def _batch_unit_quadrature(g, width, cfg):
-    """Integrate ``width`` integrands over [eps, 1-eps] in one worklist.
-
-    ``g(points, which)`` evaluates integrand ``which[i]`` at
-    ``points[i]``.  Used for the inner axis of the nested independent
-    integral so the whole batch stays vectorized.
-    """
-    eps = cfg.truncation_eps
-    lo = np.full(width, eps)
-    hi = np.full(width, 1.0 - eps)
-    idx = np.arange(width)
-    values = np.zeros(width)
-    errors = np.zeros(width)
-    splits = 0
-    while lo.size:
-        which = np.repeat(idx, _GK_NODES.size)
-        k15, gap = _panel_estimates(lambda v: g(v, which), lo, hi)
-        running = np.abs(values[idx] + k15)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * running)
-        done = gap <= tol
-        np.add.at(values, idx[done], k15[done])
-        np.add.at(errors, idx[done], gap[done])
-        lo, hi, idx = lo[~done], hi[~done], idx[~done]
-        if lo.size == 0:
-            break
-        splits += lo.size
-        if splits > cfg.max_subdivisions:
-            raise QuadratureError(
-                f"inner quadrature: no convergence within {cfg.max_subdivisions} subdivisions"
-            )
-        mid = 0.5 * (lo + hi)
-        if np.any((mid <= lo) | (mid >= hi)):
-            raise QuadratureError(
-                f"inner quadrature: panel width underflow near u={float(lo[np.argmin(hi - lo)])!r}"
-            )
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-        idx = np.concatenate([idx, idx])
-    return values, errors
-
-
 def independent_expectation(cost, fx, fy, config=None):
     """E[c(X, Y)] for independent X, Y by nested adaptive quadrature.
 
-    Outer axis in u (through qx), inner in v (through qy).  The inner
-    pass runs 100x tighter than the outer so its residual noise sits
-    below the outer acceptance threshold; otherwise the outer worklist
-    chases noise it can never integrate away.
+    Outer axis in u (through qx), inner in v (through qy): every outer
+    node's inner integral is one integrand on a shared worklist.  The
+    inner pass runs 100x tighter than the outer so its residual noise
+    sits below the outer acceptance threshold; otherwise the outer
+    worklist chases noise it can never integrate away.
     """
     cfg = config or DEFAULT_CONFIG
     inner_cfg = replace(cfg, rel_tol=cfg.rel_tol * 1e-2, abs_tol=cfg.abs_tol * 1e-2)
     qx, qy = fx.quantile, fy.quantile
     eps = cfg.truncation_eps
     y_edges = qy(np.array([eps, 1.0 - eps]))
-    state = {"inner_err": 0.0, "inner_trunc": 0.0}
+    inner_err = inner_trunc = 0.0
 
     def outer(u):
+        nonlocal inner_err, inner_trunc
         x = qx(u)
-
-        def inner(v, which):
-            return cost(x[which], qy(v))
-
-        inner_vals, inner_errs = _batch_unit_quadrature(inner, u.size, inner_cfg)
+        lo = np.full(u.size, eps)
+        vals, errs = _gk_worklist(lambda v, which: cost(x[which], qy(v)), lo, 1.0 - lo, inner_cfg)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             edge = np.abs(cost(x, np.full_like(x, y_edges[0]))) + np.abs(
                 cost(x, np.full_like(x, y_edges[1]))
             )
         if not np.all(np.isfinite(edge)):
             raise QuadratureError(f"integrand is non-finite at an inner truncation edge (eps={eps!r})")
-        state["inner_err"] = max(state["inner_err"], float(inner_errs.max()))
-        state["inner_trunc"] = max(state["inner_trunc"], eps * float(edge.max()))
-        return inner_vals
+        inner_err = max(inner_err, float(errs.max()))
+        inner_trunc = max(inner_trunc, eps * float(edge.max()))
+        return vals
 
-    value, outer_err = adaptive_quadrature(outer, eps, 1.0 - eps, cfg)
-    outer_edge = _edge_values(outer, eps)
-    truncation = eps * float(outer_edge[0] + outer_edge[1]) + state["inner_trunc"]
-    error = outer_err + state["inner_err"] + truncation
-    return Expectation(value=value, error=error, truncation=truncation)
+    res = unit_quadrature(outer, cfg)
+    return Expectation(res.value, res.error + inner_err + inner_trunc, res.truncation + inner_trunc)
 
 
 def bounds(cost, fx, fy, report, config=None, include_independent=False):

@@ -289,6 +289,14 @@ class TestOutputFormats:
         err = _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,1,0,1", "--grid", "10000000"], 1)
         assert "Unable to allocate" in err
 
+    def test_bare_memory_error_says_so(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "check_cross_difference", exhausted)
+        err = _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,1,0,1"], 1)
+        assert err == "error: out of memory\n"
+
 
 class TestReproduce:
     def test_fig1(self, capsys, tmp_path):
@@ -374,6 +382,15 @@ class TestUsageErrors:
     ], ids=["sweep-stop", "sweep-step", "tworay-stop"])
     def test_non_finite_range(self, capsys, argv):
         assert "finite" in _fail(capsys, argv, 1)
+
+    @pytest.mark.parametrize("argv, count", [
+        (["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1", "--range", "0:1e12:1"],
+         "1000000000001"),
+        (["tworay", "trace", *TestTworay.GEOM, "--d", "20:50:1000000000000"], "1000000000000"),
+    ], ids=["sweep-step", "tworay-count"])
+    def test_too_many_range_points(self, capsys, argv, count):
+        # Rejected before any grid is built, with the count it would hold.
+        assert f"{count} points" in _fail(capsys, argv, 1)
 
 
 class TestColdStart:

@@ -13,7 +13,7 @@ from depbound.transport import (
     ClassificationError,
     QuadratureConfig,
     QuadratureError,
-    _batch_unit_quadrature,
+    _gk_worklist,
     adaptive_quadrature,
     bounds,
     bounds_sweep,
@@ -89,7 +89,38 @@ class TestEngine:
             if engine == "adaptive":
                 adaptive_quadrature(f, cfg.truncation_eps, 1.0 - cfg.truncation_eps, cfg)
             else:
-                _batch_unit_quadrature(lambda v, which: f(v) * (which + 1), 2, cfg)
+                lo = np.full(2, cfg.truncation_eps)
+                _gk_worklist(lambda v, which: f(v) * (which + 1), lo, 1.0 - lo, cfg)
+
+    def test_batch_row_integrates_as_alone(self):
+        # Each half of the 1000-scaled sign flip integrates to about
+        # +-83, but a row's total cancels to (k+1) * 0.4.  Against the
+        # row's running total the halves' gaps are too wide and must be
+        # bisected; against each panel's own value they would pass at the
+        # first split.  A row in a batch must take the points, and reach
+        # the value, that it takes alone.
+        def f(v, k):
+            return (k + 1) * (1000.0 * np.sign(v - 0.5) * v * (1.0 - v) + v**1.5)
+
+        cfg = QuadratureConfig()
+        lo = np.full(2, cfg.truncation_eps)
+        batch_points = np.zeros(2, dtype=int)
+
+        def rows(v, which):
+            batch_points[:] += np.bincount(which, minlength=2)
+            return f(v, which)
+
+        values, _ = _gk_worklist(rows, lo, 1.0 - lo, cfg)
+        for k in range(2):
+            alone_points = []
+
+            def g(v):
+                alone_points.append(v.size)
+                return f(v, k)
+
+            value, _ = adaptive_quadrature(g, lo[k], 1.0 - lo[k], cfg)
+            assert batch_points[k] == sum(alone_points)
+            assert values[k] == pytest.approx(value, rel=1e-12)
 
     def test_empty_interval(self):
         assert adaptive_quadrature(np.exp, 1.0, 1.0) == (0.0, 0.0)
