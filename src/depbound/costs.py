@@ -52,11 +52,15 @@ class CostFunction:
 
 
 def _check_domain(name, x, y):
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+    # numpy's min and max return NaN when any element is NaN, so the four
+    # extremes are finite exactly when every element is.
+    ends = []
+    for arg in (np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
+        if arg.size:
+            ends += (arg.min(), arg.max())
+    if not all(map(math.isfinite, ends)):
         raise ValueError(f"cost {name!r}: arguments must be finite")
-    if np.any(xa < 0.0) or np.any(ya < 0.0):
+    if min(ends, default=0.0) < 0.0:
         raise ValueError(f"cost {name!r}: arguments must be nonnegative")
 
 

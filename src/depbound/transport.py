@@ -9,11 +9,12 @@ Everything here reduces to 1-D quadrature of quantile couplings on
 (0, 1), plus a nested pass for the independent baseline.
 
 The quadrature engine is an adaptive Gauss-Kronrod 7/15 pair on one
-worklist of panels, which carries a single integral or all the inner
-integrals of the nested pass at once.  The 15-point value is kept, the
-|K15 - G7| gap is the panel's error estimate, and a panel is bisected
-while its gap exceeds max(abs_tol, rel_tol * |running total of its own
-integrand|).  Endpoints are truncated to [eps, 1 - eps] and the
+worklist of panels, which carries a single integral, all the inner
+integrals of the nested pass, or one coupling's integrals for every row
+of a sweep at once.  The 15-point value is kept, the |K15 - G7| gap is
+the panel's error estimate, and a panel is bisected while its gap
+exceeds max(abs_tol, rel_tol * |running total of its own integrand|);
+each row of a sweep has its own subdivision budget.  Endpoints are truncated to [eps, 1 - eps] and the
 discarded tails are reported as an explicit truncation bound
 eps * (|f(eps)| + |f(1 - eps)|) instead of being silently dropped.
 """
@@ -161,7 +162,7 @@ def _panel_estimates(f, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def _gk_worklist(f, lo, hi, cfg):
+def _gk_worklist(f, lo, hi, cfg, group=None):
     """Integrate ``lo.size`` integrands on one worklist; returns (values, errors).
 
     Integrand ``i`` runs over [lo[i], hi[i]], and ``f(points, which)``
@@ -169,13 +170,15 @@ def _gk_worklist(f, lo, hi, cfg):
     accepted once its gap is at most max(abs_tol, rel_tol * |running
     integral of its own integrand|), the running integral being that
     integrand's accepted value plus its in-flight K15 values.  The rest
-    are bisected, breadth-first, on one ``max_subdivisions`` budget.
+    are bisected in place, breadth-first, so ``which`` stays sorted, on
+    one ``max_subdivisions`` budget per ``group`` label (one in all).
     """
     width = lo.size
     idx = np.arange(width)
+    group = np.zeros(width, dtype=int) if group is None else group
+    splits = np.zeros(group.max(initial=0) + 1, dtype=int)
     values = np.zeros(width)
     errors = np.zeros(width)
-    splits = 0
     while lo.size:
         which = np.repeat(idx, _GK_NODES.size)
         k15, gap = _panel_estimates(lambda u: f(u, which), lo, hi)
@@ -186,17 +189,16 @@ def _gk_worklist(f, lo, hi, cfg):
         lo, hi, idx = lo[~done], hi[~done], idx[~done]
         if lo.size == 0:
             break
-        splits += lo.size
-        if splits > cfg.max_subdivisions:
+        splits += np.bincount(group[idx], minlength=splits.size)
+        if splits.max() > cfg.max_subdivisions:
             raise QuadratureError(
                 f"no convergence within {cfg.max_subdivisions} subdivisions ({lo.size} panels open)"
             )
         mid = 0.5 * (lo + hi)
         if np.any((mid <= lo) | (mid >= hi)):
             raise QuadratureError(f"panel width underflow near u={float(lo[np.argmin(hi - lo)])!r}")
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-        idx = np.concatenate([idx, idx])
+        lo, hi, idx = lo.repeat(2), hi.repeat(2), idx.repeat(2)
+        lo[1::2] = hi[::2] = mid
     return values, errors
 
 
@@ -217,34 +219,77 @@ def adaptive_quadrature(f, a, b, config=None):
     return float(values[0]), float(errors[0])
 
 
-def _edge_values(f, eps):
+def _unit_rows(f, n_rows, cfg):
+    """Integrate ``n_rows`` integrands ``f(u, which)`` over (0, 1), each on its own budget."""
+    eps = cfg.truncation_eps
+    idx = np.arange(n_rows)
+    lo = np.full(n_rows, eps)
+    values, errors = _gk_worklist(f, lo, 1.0 - lo, cfg, group=idx)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        edge = np.abs(np.asarray(f(np.array([eps, 1.0 - eps])), dtype=float))
+        edge = np.abs(np.asarray(f(np.tile([eps, 1.0 - eps], n_rows), np.repeat(idx, 2)), dtype=float))
     if not np.all(np.isfinite(edge)):
         raise QuadratureError(f"integrand is non-finite at a truncation edge (eps={eps!r})")
-    return edge
+    truncation = eps * (edge[0::2] + edge[1::2])
+    return [Expectation(float(v), float(e + t), float(t)) for v, e, t in zip(values, errors, truncation)]
 
 
 def unit_quadrature(f, config=None):
     """Integrate ``f`` over (0, 1) with endpoint truncation accounting."""
+    return _unit_rows(lambda u, which: f(u), 1, config or DEFAULT_CONFIG)[0]
+
+
+def _by_row(costs, rows, x, y):
+    """``costs[k](x, y)`` on the points of row k; ``rows`` is sorted."""
+    out = np.empty(x.shape)
+    cuts = rows.searchsorted(np.arange(len(costs) + 1)).tolist()
+    for cost, a, b in zip(costs, cuts, cuts[1:]):
+        if b > a:
+            out[a:b] = cost(x[a:b], y[a:b])
+    return out
+
+
+def _coupled_rows(costs, fx, fy, counter, config=None):
+    """Comonotonic, or with ``counter`` countermonotonic, expectations of ``costs``."""
+    qx, qy = fx.quantile, fy.quantile
     cfg = config or DEFAULT_CONFIG
-    eps = cfg.truncation_eps
-    value, error = adaptive_quadrature(f, eps, 1.0 - eps, cfg)
-    edge = _edge_values(f, eps)
-    truncation = eps * float(edge[0] + edge[1])
-    return Expectation(value=value, error=error + truncation, truncation=truncation)
+    return _unit_rows(lambda u, which: _by_row(costs, which, qx(u), qy(1.0 - u if counter else u)), len(costs), cfg)
 
 
 def comonotonic_expectation(cost, fx, fy, config=None):
     """E[c(X, Y)] under the maximal-dependence coupling (qx(U), qy(U))."""
-    qx, qy = fx.quantile, fy.quantile
-    return unit_quadrature(lambda u: cost(qx(u), qy(u)), config)
+    return _coupled_rows([cost], fx, fy, False, config)[0]
 
 
 def countermonotonic_expectation(cost, fx, fy, config=None):
     """E[c(X, Y)] under the minimal-dependence coupling (qx(U), qy(1-U))."""
+    return _coupled_rows([cost], fx, fy, True, config)[0]
+
+
+def _independent_rows(costs, fx, fy, config=None):
+    """Independent expectations of ``costs``: one outer and one inner worklist for all."""
+    cfg = config or DEFAULT_CONFIG
+    inner_cfg = replace(cfg, rel_tol=cfg.rel_tol * 1e-2, abs_tol=cfg.abs_tol * 1e-2)
     qx, qy = fx.quantile, fy.quantile
-    return unit_quadrature(lambda u: cost(qx(u), qy(1.0 - u)), config)
+    eps = cfg.truncation_eps
+    y_edges = qy(np.array([eps, 1.0 - eps]))
+    inner_err, inner_trunc = np.zeros((2, len(costs)))
+
+    def outer(u, rows):
+        x = qx(u)
+        lo = np.full(u.size, eps)
+        vals, errs = _gk_worklist(
+            lambda v, which: _by_row(costs, rows[which], x[which], qy(v)), lo, 1.0 - lo, inner_cfg, group=rows
+        )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            edge = sum(np.abs(_by_row(costs, rows, x, np.full_like(x, y))) for y in y_edges)
+        if not np.all(np.isfinite(edge)):
+            raise QuadratureError(f"integrand is non-finite at an inner truncation edge (eps={eps!r})")
+        np.maximum.at(inner_err, rows, errs)
+        np.maximum.at(inner_trunc, rows, eps * edge)
+        return vals
+
+    outers = zip(_unit_rows(outer, len(costs), cfg), inner_err.tolist(), inner_trunc.tolist())
+    return [Expectation(r.value, r.error + err + trunc, r.truncation + trunc) for r, err, trunc in outers]
 
 
 def independent_expectation(cost, fx, fy, config=None):
@@ -256,30 +301,42 @@ def independent_expectation(cost, fx, fy, config=None):
     sits below the outer acceptance threshold; otherwise the outer
     worklist chases noise it can never integrate away.
     """
-    cfg = config or DEFAULT_CONFIG
-    inner_cfg = replace(cfg, rel_tol=cfg.rel_tol * 1e-2, abs_tol=cfg.abs_tol * 1e-2)
-    qx, qy = fx.quantile, fy.quantile
-    eps = cfg.truncation_eps
-    y_edges = qy(np.array([eps, 1.0 - eps]))
-    inner_err = inner_trunc = 0.0
+    return _independent_rows([cost], fx, fy, config)[0]
 
-    def outer(u):
-        nonlocal inner_err, inner_trunc
-        x = qx(u)
-        lo = np.full(u.size, eps)
-        vals, errs = _gk_worklist(lambda v, which: cost(x[which], qy(v)), lo, 1.0 - lo, inner_cfg)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            edge = np.abs(cost(x, np.full_like(x, y_edges[0]))) + np.abs(
-                cost(x, np.full_like(x, y_edges[1]))
+
+def _bounds_rows(costs, reports, include_independent, co, counter, independent):
+    """Check every report, then one ``BoundsResult`` per cost; ``co(costs)`` etc. integrate."""
+    kinds = [report.classification for report in reports]
+    for kind, report in zip(kinds, reports):
+        if kind not in ("submodular", "supermodular", "modular"):
+            raise ClassificationError(
+                f"cost is classified {kind!r} (violations: {report.violation_count}, "
+                f"worst {report.max_violation:.3g}); monotone couplings are not provably extremal"
             )
-        if not np.all(np.isfinite(edge)):
-            raise QuadratureError(f"integrand is non-finite at an inner truncation edge (eps={eps!r})")
-        inner_err = max(inner_err, float(errs.max()))
-        inner_trunc = max(inner_trunc, eps * float(edge.max()))
-        return vals
-
-    res = unit_quadrature(outer, cfg)
-    return Expectation(res.value, res.error + inner_err + inner_trunc, res.truncation + inner_trunc)
+    paired = [cost for cost, kind in zip(costs, kinds) if kind != "modular"]
+    counters = iter(counter(paired) if paired else ())
+    independents = iter(independent(paired) if paired and include_independent else ())
+    results = []
+    for kind, both in zip(kinds, co(costs)):
+        if kind == "modular":
+            low = high = both
+            ind = both if include_independent else None
+        else:
+            other = next(counters)
+            low, high = (both, other) if kind == "submodular" else (other, both)
+            ind = next(independents) if include_independent else None
+        slack = max(low.error + high.error, 1e-12)
+        if low.value > high.value + slack:
+            raise ClassificationError(
+                f"computed bounds are inverted (lower={low.value!r} > upper={high.value!r}); "
+                f"the {kind!r} classification likely fails on the marginals' support"
+            )
+        truncs = [low.truncation, high.truncation] + ([ind.truncation] if ind else [])
+        results.append(BoundsResult(
+            lower=low.value, upper=high.value, independent=ind.value if ind else None, lower_err=low.error,
+            upper_err=high.error, truncation_bound=max(truncs), classification_used=kind,
+        ))
+    return results
 
 
 def bounds(cost, fx, fy, report, config=None, include_independent=False):
@@ -293,39 +350,14 @@ def bounds(cost, fx, fy, report, config=None, include_independent=False):
     """
     if not isinstance(report, MongeReport):
         raise TypeError("bounds needs a MongeReport from the lattice checks")
-    kind = report.classification
-    if kind not in ("submodular", "supermodular", "modular"):
-        raise ClassificationError(
-            f"cost is classified {kind!r} (violations: {report.violation_count}, "
-            f"worst {report.max_violation:.3g}); monotone couplings are not provably extremal"
-        )
 
-    if kind == "modular":
-        both = comonotonic_expectation(cost, fx, fy, config)
-        low = high = both
-        independent = both if include_independent else None
-    else:
-        co = comonotonic_expectation(cost, fx, fy, config)
-        counter = countermonotonic_expectation(cost, fx, fy, config)
-        low, high = (co, counter) if kind == "submodular" else (counter, co)
-        independent = independent_expectation(cost, fx, fy, config) if include_independent else None
+    def one(expectation):
+        return lambda costs: [expectation(costs[0], fx, fy, config)]
 
-    slack = max(low.error + high.error, 1e-12)
-    if low.value > high.value + slack:
-        raise ClassificationError(
-            f"computed bounds are inverted (lower={low.value!r} > upper={high.value!r}); "
-            f"the {kind!r} classification likely fails on the marginals' support"
-        )
-    truncs = [low.truncation, high.truncation] + ([independent.truncation] if independent else [])
-    return BoundsResult(
-        lower=low.value,
-        upper=high.value,
-        independent=independent.value if independent else None,
-        lower_err=low.error,
-        upper_err=high.error,
-        truncation_bound=max(truncs),
-        classification_used=kind,
-    )
+    return _bounds_rows(
+        [cost], [report], include_independent,
+        one(comonotonic_expectation), one(countermonotonic_expectation), one(independent_expectation),
+    )[0]
 
 
 def working_domain(fx, fy):
@@ -363,15 +395,23 @@ def classified_bounds(cost, fx, fy, config=None, include_independent=False):
 
 
 def bounds_sweep(cost_factory, params, fx, fy, config=None, include_independent=True):
-    """One ``classified_bounds`` result per parameter value.
+    """One ``classified_bounds`` result per parameter value, integrated together.
 
     ``cost_factory(p)`` builds the cost for parameter ``p``; a
-    classification of neither/indeterminate aborts the sweep
-    (propagated ``ClassificationError``).
+    neither/indeterminate row aborts the sweep (``ClassificationError``)
+    before any quadrature.  Each coupling's integrals of all rows share
+    one worklist, each row on its own budget, so a row fails as alone.
     """
-    return [
-        SweepRow(param=float(p), result=classified_bounds(
-            cost_factory(p), fx, fy, config, include_independent=include_independent
-        ))
-        for p in params
-    ]
+    params = list(params)
+    if not params:
+        return []
+    costs = [cost_factory(p) for p in params]
+    box = working_domain(fx, fy)
+    reports = [check_cross_difference(cost, box, n=64) for cost in costs]
+    results = _bounds_rows(
+        costs, reports, include_independent,
+        lambda cs: _coupled_rows(cs, fx, fy, False, config),
+        lambda cs: _coupled_rows(cs, fx, fy, True, config),
+        lambda cs: _independent_rows(cs, fx, fy, config),
+    )
+    return [SweepRow(param=float(p), result=r) for p, r in zip(params, results)]

@@ -82,6 +82,34 @@ def test_domain_validation(name):
         cost(np.array([1.0, -0.5]), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([1.0, -0.5], [1.0, 1.0], "nonnegative"),
+    ([1.0, 1.0], [2.0, -0.0, -1e-300], "nonnegative"),
+    ([1.0, np.nan], [1.0, 1.0], "finite"),
+    ([1.0, 1.0], [np.nan, 2.0], "finite"),
+    # Finiteness is checked first: a NaN beside a negative value, in
+    # either argument, is reported as non-finite.
+    ([np.nan, 1.0], [1.0, -1.0], "finite"),
+    ([1.0, -1.0], [2.0, np.nan], "finite"),
+    ([-1.0, np.nan], [1.0, 1.0], "finite"),
+    ([np.inf, 1.0], [1.0, 1.0], "finite"),
+    ([1.0, 1.0], [-np.inf, 1.0], "finite"),
+    ([-np.inf], [1.0], "finite"),
+])
+def test_domain_check_message(x, y, message):
+    with pytest.raises(ValueError, match=f"arguments must be {message}"):
+        builtin("product")(np.array(x), np.array(y))
+
+
+def test_domain_check_passes_empty_and_zero():
+    cost = builtin("additive")
+    assert cost(np.array([]), np.array([])).size == 0
+    assert cost(np.zeros(3), -np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    # An empty argument checks nothing, but its partner is still checked.
+    with pytest.raises(ValueError, match="nonnegative"):
+        cost(np.array([]), -1.0)
+
+
 def test_parse_cost():
     assert parse_cost("sinr").name == "sinr"
     assert parse_cost("mac_rate1:s=0.5").params["s"] == 0.5

@@ -210,6 +210,13 @@ class TestCouplingExpectations:
         assert gap <= 3.0 * res.error
         assert gap <= 1e-6
 
+    def test_independent_error_covers_its_truncation(self):
+        # The nested error is the outer error (outer truncation included)
+        # plus the inner worklists' worst error and worst truncation.
+        for cost in (builtin("sinr"), builtin("product")):
+            res = independent_expectation(cost, E1, E2)
+            assert 0.0 < res.truncation <= res.error
+
 
 class TestBounds:
     def test_interference_ratio_bounds(self):
@@ -289,3 +296,68 @@ class TestSweep:
         )
         res = rows[0].result
         assert max(abs(res.lower), abs(res.upper), abs(res.independent)) < 1e-8
+
+    @staticmethod
+    def _mixed(p):
+        # Rows cycle through a submodular, a supermodular and a modular cost.
+        kind = int(p) % 3
+        if kind == 0:
+            return builtin("mac_rate1", s=1.0 + p)
+        if kind == 1:
+            return CostFunction(name="scaled_prop_fair", fn=lambda x, y: (1.0 + p) * np.log1p(x) * np.log1p(y))
+        return CostFunction(name="shifted_additive", fn=lambda x, y: x + p * y)
+
+    @pytest.mark.parametrize("include_independent", [True, False])
+    def test_each_row_matches_classified_bounds(self, include_independent):
+        params = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        fy = Rayleigh(0.8)
+        rows = bounds_sweep(self._mixed, params, E1, fy, include_independent=include_independent)
+        assert [r.param for r in rows] == params
+        assert {r.result.classification_used for r in rows} == {"submodular", "supermodular", "modular"}
+        for p, row in zip(params, rows):
+            alone = classified_bounds(self._mixed(p), E1, fy, include_independent=include_independent)
+            got = row.result
+            assert got.classification_used == alone.classification_used
+            assert got.lower == pytest.approx(alone.lower, rel=1e-12)
+            assert got.upper == pytest.approx(alone.upper, rel=1e-12)
+            if include_independent:
+                assert got.independent == pytest.approx(alone.independent, rel=1e-12)
+            else:
+                assert got.independent is alone.independent is None
+            assert got.lower_err == pytest.approx(alone.lower_err, rel=1e-6)
+            assert got.upper_err == pytest.approx(alone.upper_err, rel=1e-6)
+            assert got.truncation_bound == pytest.approx(alone.truncation_bound, rel=1e-6)
+
+    def test_empty_sweep(self):
+        assert bounds_sweep(self._mixed, [], E1, E1) == []
+
+    def test_one_unclassified_row_aborts(self):
+        def factory(p):
+            if p == 2.0:
+                return CostFunction(name="wave", fn=lambda x, y: np.sin(x) * np.sin(y))
+            return self._mixed(p)
+
+        with pytest.raises(ClassificationError, match="neither"):
+            bounds_sweep(factory, [0.0, 1.0, 2.0, 3.0], E1, E1)
+
+    def test_subdivision_budget_is_per_row(self):
+        # Each row fits the budget alone but needs more than half of it,
+        # so the three rows together need more than one budget holds.
+        cfg = QuadratureConfig(max_subdivisions=700)
+        half = QuadratureConfig(max_subdivisions=350)
+        def factory(s):
+            return builtin("mac_rate1", s=s)
+
+        params = [0.1, 1.0, 10.0]
+        alone = [classified_bounds(factory(s), E1, E1, cfg, include_independent=True) for s in params]
+        for s in params:
+            with pytest.raises(QuadratureError, match="subdivisions"):
+                classified_bounds(factory(s), E1, E1, half, include_independent=True)
+        rows = bounds_sweep(factory, params, E1, E1, cfg)
+        for row, res in zip(rows, alone):
+            assert row.result.independent == pytest.approx(res.independent, rel=1e-12)
+        # A row that cannot converge alone still fails inside the sweep.
+        with pytest.raises(QuadratureError, match="subdivisions"):
+            classified_bounds(factory(0.01), E1, E1, cfg, include_independent=True)
+        with pytest.raises(QuadratureError, match="subdivisions"):
+            bounds_sweep(factory, params + [0.01], E1, E1, cfg)
