@@ -67,7 +67,8 @@ class Marginal:
     def quantile(self, u):
         """Inverse cdf.  ``u`` must lie strictly inside (0, 1)."""
         arr = _as_array(u)
-        if not np.all((arr > 0.0) & (arr < 1.0)):
+        # min and max are NaN when any element is, and NaN fails both tests.
+        if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
             raise ValueError(f"{self.name}: quantile argument must be in the open interval (0, 1)")
         return _scalar_like(self._quantile(arr), u)
 

@@ -6,6 +6,15 @@ share a seed are antithetic by construction.  Independence uses two
 streams spawned from the root seed.  Moments accumulate in one pass
 with exact pairwise merging, so the estimate is stable out to n = 1e8
 and independent of the batch partition.
+
+The batch (``batch_size`` draws) is the unit of that merge; the chunk
+(``_CHUNK`` draws) is the unit of evaluation.  Each chunk draws its
+uniforms, maps them through the quantiles and writes its costs into the
+batch's one buffer, so the temporaries stay cache-sized while the mean
+and the squared deviations still run over the whole batch: the result
+does not depend on ``_CHUNK``, bit for bit.  Draws and costs are checked
+chunk by chunk, so when a sample holds two faults, the first chunk with
+a fault decides the error.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ COUPLINGS = ("comonotonic", "countermonotonic", "independent")
 _U_MIN = 2.0**-53
 
 DEFAULT_BATCH = 1 << 20
+# Draws evaluated at once: large enough to amortize numpy's per-call
+# overhead, small enough that a chunk's temporaries stay in cache.
+_CHUNK = 1 << 16
 
 
 class NonFiniteCostError(Exception):
@@ -54,11 +66,13 @@ class _Moments:
         self.m2 = 0.0
 
     def add(self, values):
+        """Merge one batch; overwrites ``values`` with its squared deviations."""
         nb = values.size
         if nb == 0:
             return
         mb = float(values.mean())
-        m2b = float(np.sum((values - mb) ** 2))
+        np.subtract(values, mb, out=values)
+        m2b = float(np.sum(np.square(values, out=values)))
         na = self.n
         total = na + nb
         delta = mb - self.mean
@@ -114,14 +128,18 @@ def mc_expectation(cost, fx, fy, coupling, n, seed, batch_size=DEFAULT_BATCH):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while remaining:
             m = min(remaining, batch_size)
-            if coupling == "independent":
-                x = fx.quantile(np.maximum(rng_x.random(m), _U_MIN))
-                y = fy.quantile(np.maximum(rng_y.random(m), _U_MIN))
-            else:
-                u = np.maximum(rng.random(m), _U_MIN)
-                x = fx.quantile(u)
-                y = fy.quantile(u if coupling == "comonotonic" else 1.0 - u)
-            acc.add(_check_finite(cost, x, y))
+            values = np.empty(m)
+            for a in range(0, m, _CHUNK):
+                k = min(_CHUNK, m - a)
+                if coupling == "independent":
+                    x = fx.quantile(np.maximum(rng_x.random(k), _U_MIN))
+                    y = fy.quantile(np.maximum(rng_y.random(k), _U_MIN))
+                else:
+                    u = np.maximum(rng.random(k), _U_MIN)
+                    x = fx.quantile(u)
+                    y = fy.quantile(u if coupling == "comonotonic" else 1.0 - u)
+                values[a:a + k] = _check_finite(cost, x, y)
+            acc.add(values)
             remaining -= m
 
     stderr = float(np.sqrt(acc.m2 / (acc.n - 1) / acc.n))

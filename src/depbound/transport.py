@@ -48,7 +48,14 @@ __all__ = [
 
 
 class QuadratureError(Exception):
-    """Quadrature failed: non-convergence or a non-finite integrand."""
+    """Quadrature failed: non-convergence or a non-finite integrand.
+
+    ``row`` is the worklist group that ran out of subdivisions, or None.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -172,6 +179,8 @@ def _gk_worklist(f, lo, hi, cfg, group=None):
     integrand's accepted value plus its in-flight K15 values.  The rest
     are bisected in place, breadth-first, so ``which`` stays sorted, on
     one ``max_subdivisions`` budget per ``group`` label (one in all).
+    Running out raises ``QuadratureError`` whose ``row`` is the first
+    label over budget.
     """
     width = lo.size
     idx = np.arange(width)
@@ -192,7 +201,8 @@ def _gk_worklist(f, lo, hi, cfg, group=None):
         splits += np.bincount(group[idx], minlength=splits.size)
         if splits.max() > cfg.max_subdivisions:
             raise QuadratureError(
-                f"no convergence within {cfg.max_subdivisions} subdivisions ({lo.size} panels open)"
+                f"no convergence within {cfg.max_subdivisions} subdivisions ({lo.size} panels open)",
+                row=int(np.argmax(splits > cfg.max_subdivisions)),
             )
         mid = 0.5 * (lo + hi)
         if np.any((mid <= lo) | (mid >= hi)):
@@ -313,9 +323,15 @@ def _bounds_rows(costs, reports, include_independent, co, counter, independent):
                 f"cost is classified {kind!r} (violations: {report.violation_count}, "
                 f"worst {report.max_violation:.3g}); monotone couplings are not provably extremal"
             )
-    paired = [cost for cost, kind in zip(costs, kinds) if kind != "modular"]
-    counters = iter(counter(paired) if paired else ())
-    independents = iter(independent(paired) if paired and include_independent else ())
+    paired_at = [i for i, kind in enumerate(kinds) if kind != "modular"]
+    paired = [costs[i] for i in paired_at]
+    try:
+        counters = iter(counter(paired) if paired else ())
+        independents = iter(independent(paired) if paired and include_independent else ())
+    except QuadratureError as exc:
+        # These worklists hold only the paired rows; report the row of ``costs``.
+        exc.row = None if exc.row is None else paired_at[exc.row]
+        raise
     results = []
     for kind, both in zip(kinds, co(costs)):
         if kind == "modular":
@@ -400,7 +416,8 @@ def bounds_sweep(cost_factory, params, fx, fy, config=None, include_independent=
     ``cost_factory(p)`` builds the cost for parameter ``p``; a
     neither/indeterminate row aborts the sweep (``ClassificationError``)
     before any quadrature.  Each coupling's integrals of all rows share
-    one worklist, each row on its own budget, so a row fails as alone.
+    one worklist, each row on its own budget, so a row fails as alone;
+    a row that runs out of subdivisions is named by its parameter.
     """
     params = list(params)
     if not params:
@@ -408,10 +425,15 @@ def bounds_sweep(cost_factory, params, fx, fy, config=None, include_independent=
     costs = [cost_factory(p) for p in params]
     box = working_domain(fx, fy)
     reports = [check_cross_difference(cost, box, n=64) for cost in costs]
-    results = _bounds_rows(
-        costs, reports, include_independent,
-        lambda cs: _coupled_rows(cs, fx, fy, False, config),
-        lambda cs: _coupled_rows(cs, fx, fy, True, config),
-        lambda cs: _independent_rows(cs, fx, fy, config),
-    )
+    try:
+        results = _bounds_rows(
+            costs, reports, include_independent,
+            lambda cs: _coupled_rows(cs, fx, fy, False, config),
+            lambda cs: _coupled_rows(cs, fx, fy, True, config),
+            lambda cs: _independent_rows(cs, fx, fy, config),
+        )
+    except QuadratureError as exc:
+        if exc.row is None:
+            raise
+        raise QuadratureError(f"{exc} in the row for parameter {float(params[exc.row])!r}", row=exc.row) from None
     return [SweepRow(param=float(p), result=r) for p, r in zip(params, results)]

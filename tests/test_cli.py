@@ -1,12 +1,14 @@
 """End-to-end command-line contract: schemas, exit codes, determinism."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,19 @@ def _fail(capsys, argv, code):
 
 def _rows(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def _load_clisession():
+    # The benchmark's CLI script and its pinned stdout hashes, read from
+    # the checkout rather than imported, so no path setup is needed.
+    path = Path(__file__).resolve().parent.parent / "bench" / "clisession.py"
+    spec = importlib.util.spec_from_file_location("_clisession", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CLISESSION = _load_clisession()
 
 
 class TestBounds:
@@ -352,6 +367,16 @@ class TestReproduce:
                                          "--independent"]))
         example = json.loads((tmp_path / "example1.json").read_text())
         assert example == {key: bounds[key] for key in ("lower", "upper", "independent")}
+
+
+class TestPinnedStdout:
+    """Every benchmark CLI command prints exactly the bytes its hash pins."""
+
+    @pytest.mark.parametrize("cmd", CLISESSION.SCRIPT, ids=lambda cmd: cmd["name"])
+    def test_stdout_matches_its_pinned_hash(self, tmp_path, cmd):
+        code, out, err, _ = CLISESSION.run_inprocess(cmd, tmp_path)
+        assert code == cmd["exit"], err
+        assert CLISESSION.digest(out) == CLISESSION.load_fingerprints()[cmd["name"]]
 
 
 class TestUsageErrors:

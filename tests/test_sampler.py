@@ -1,13 +1,15 @@
 """Monte Carlo cross-checks: determinism, CLT agreement, coupling structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from depbound.costs import CostFunction, builtin
-from depbound.marginals import Exponential, LogNormal, Rayleigh, Uniform
+from depbound.marginals import Exponential, LogNormal, Rayleigh, Uniform, parse_marginal
 from depbound.sampler import (
+    _CHUNK,
     COUPLINGS,
     McEstimate,
     NonFiniteCostError,
@@ -22,6 +24,19 @@ from depbound.transport import (
 
 E1 = Exponential(1.0)
 E2 = Exponential(2.0)
+
+
+def _one_shot_draws(fx, fy, coupling, n, seed):
+    """All n draws at once, as mc_expectation's streams produce them."""
+    root = np.random.SeedSequence(seed)
+    with np.errstate(over="ignore"):
+        if coupling == "independent":
+            seq_x, seq_y = root.spawn(2)
+            x = fx.quantile(np.maximum(np.random.default_rng(seq_x).random(n), 2.0**-53))
+            y = fy.quantile(np.maximum(np.random.default_rng(seq_y).random(n), 2.0**-53))
+            return x, y
+        u = np.maximum(np.random.default_rng(root).random(n), 2.0**-53)
+        return fx.quantile(u), fy.quantile(u if coupling == "comonotonic" else 1.0 - u)
 
 
 class TestDeterminism:
@@ -45,6 +60,35 @@ class TestDeterminism:
                                  batch_size=4_096)
         assert chunked.value == pytest.approx(whole.value, rel=1e-12)
         assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    def test_chunks_match_one_shot_evaluation_exactly(self, coupling, n):
+        # Chunked evaluation must not move a bit: same draws, same costs,
+        # and the moments of the whole batch as one array.
+        cost, fx = builtin("sinr"), LogNormal(0.0, 0.5)
+        x, y = _one_shot_draws(fx, E2, coupling, n, seed=n)
+        v = cost(x, y)
+        mean = float(v.mean())
+        m2 = float(np.sum((v - mean) ** 2))
+        est = mc_expectation(cost, fx, E2, coupling, n, seed=n)
+        # One batch merged into empty moments: 0 + mean * n / n, not always mean.
+        assert est.value == 0.0 + mean * n / n
+        assert est.stderr == float(np.sqrt(m2 / (n - 1) / n))
+
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    def test_memory_is_one_buffer_per_batch(self, coupling):
+        # 10^6 draws: one 8 MB buffer plus chunk-sized temporaries, where a
+        # whole-batch evaluation peaks at four to five such arrays.
+        cost = builtin("sinr")
+        mc_expectation(cost, E1, E2, coupling, 1_000, seed=1)
+        tracemalloc.start()
+        try:
+            mc_expectation(cost, E1, E2, coupling, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_metadata_round_trip(self):
         est = mc_expectation(builtin("additive"), E1, E2, "independent", 1_000, seed=3)
@@ -151,3 +195,28 @@ class TestErrorChannel:
         blow = CostFunction(name="blow", fn=lambda x, y: np.exp(x * 500.0) + 0.0 * y)
         with pytest.raises(NonFiniteCostError, match="blow"):
             mc_expectation(blow, Uniform(0.5, 3.0), E1, "independent", 1_000, seed=2)
+
+    def test_single_fault_names_the_first_bad_draw(self):
+        # With seed 2 the first NaN is draw 73,354, past the first chunk of 2^16.
+        nan_tail = CostFunction(name="nan_tail", fn=lambda x, y: np.where(x > 11.0, np.nan, x + y))
+        n = 3 * _CHUNK + 7
+        x, y = _one_shot_draws(E1, E2, "comonotonic", n, seed=2)
+        i = int(np.flatnonzero(x > 11.0)[0])
+        with pytest.raises(NonFiniteCostError) as info:
+            mc_expectation(nan_tail, E1, E2, "comonotonic", n, seed=2)
+        assert str(info.value) == f"cost 'nan_tail' returned nan at (x={float(x[i])!r}, y={float(y[i])!r})"
+
+    def test_single_fault_overflowing_draw(self):
+        fat = parse_marginal("lognormal:0,400")
+        x, y = _one_shot_draws(fat, E1, "comonotonic", 1_000, seed=1729)
+        i = int(np.flatnonzero(~np.isfinite(x))[0])
+        with pytest.raises(NonFiniteCostError) as info:
+            mc_expectation(builtin("product"), fat, E1, "comonotonic", 1_000, seed=1729)
+        assert str(info.value) == (
+            f"marginal draw overflowed: (x=inf, y={float(y[i])!r}) before cost 'product'"
+        )
+
+    def test_single_fault_negative_draw(self):
+        with pytest.raises(ValueError, match="^cost 'product': arguments must be nonnegative$"):
+            mc_expectation(builtin("product"), parse_marginal("uniform:-1,1"), E1, "comonotonic",
+                           3 * _CHUNK + 7, seed=1729)
