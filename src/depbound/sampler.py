@@ -7,18 +7,26 @@ streams spawned from the root seed.  Moments accumulate in one pass
 with exact pairwise merging, so the estimate is stable out to n = 1e8
 and independent of the batch partition.
 
-The batch (``batch_size`` draws) is the unit of that merge; the chunk
-(``_CHUNK`` draws) is the unit of evaluation.  Each chunk draws its
-uniforms, maps them through the quantiles and writes its costs into the
-batch's one buffer, so the temporaries stay cache-sized while the mean
-and the squared deviations still run over the whole batch: the result
-does not depend on ``_CHUNK``, bit for bit.  Draws and costs are checked
-chunk by chunk, so when a sample holds two faults, the first chunk with
-a fault decides the error.
+The batch (``batch_size`` draws) is the unit of that merge; the part is
+the unit of threading; the chunk (``_CHUNK`` draws) is the unit of
+evaluation.  Each batch is cut into up to ``_PARTS`` contiguous parts on
+chunk boundaries: the calling thread evaluates the first and one thread
+each evaluates the others.  A part that starts at draw ``a`` of the
+sample draws from its own PCG64 generator advanced by ``a`` steps, which
+is exactly the stream a sequential pass reaches at ``a``.  Each chunk
+draws its uniforms, maps them through the quantiles and writes its costs
+into the batch's one buffer, so the temporaries stay cache-sized while
+the mean and the squared deviations still run over the whole batch: the
+result does not depend on ``_PARTS`` or ``_CHUNK``, bit for bit.  Draws
+and costs are checked chunk by chunk and a part's error is re-raised
+only when no earlier part failed, so when a sample holds two faults, the
+first chunk with a fault decides the error.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +47,12 @@ _U_MIN = 2.0**-53
 
 DEFAULT_BATCH = 1 << 20
 # Draws evaluated at once: large enough to amortize numpy's per-call
-# overhead, small enough that a chunk's temporaries stay in cache.
-_CHUNK = 1 << 16
+# overhead, small enough that the temporaries of the chunks in flight,
+# one per part, stay in cache.
+_CHUNK = 1 << 15
+# Parts of a batch evaluated at once, one thread each; numpy and
+# scipy.special ufuncs release the GIL, so the parts overlap.
+_PARTS = min(2, os.cpu_count() or 1)
 
 
 class NonFiniteCostError(Exception):
@@ -99,48 +111,87 @@ def _check_finite(cost, x, y):
     return values
 
 
+def _uniforms(rng, k):
+    u = rng.random(k)
+    return np.maximum(u, _U_MIN, out=u)
+
+
+def _evaluate_part(cost, fx, fy, coupling, seqs, offset, values):
+    """Fill ``values`` with the costs of the draws from ``offset`` on."""
+    rngs = [np.random.Generator(np.random.PCG64(seq).advance(offset)) for seq in seqs]
+    for a in range(0, values.size, _CHUNK):
+        k = min(_CHUNK, values.size - a)
+        if coupling == "independent":
+            x = fx.quantile(_uniforms(rngs[0], k))
+            y = fy.quantile(_uniforms(rngs[1], k))
+        else:
+            u = _uniforms(rngs[0], k)
+            x = fx.quantile(u)
+            # Not in place: a marginal may return its input as x.
+            y = fy.quantile(u if coupling == "comonotonic" else 1.0 - u)
+        values[a:a + k] = _check_finite(cost, x, y)
+
+
+def _evaluate_batch(cost, fx, fy, coupling, seqs, start, values):
+    """Evaluate one batch as parts on threads; the earliest failing part's error wins."""
+    chunks = -(-values.size // _CHUNK)
+    parts = min(_PARTS, chunks)
+    edges = [min(values.size, i * chunks // parts * _CHUNK) for i in range(parts + 1)]
+    errors = [None] * parts
+
+    def work(i):
+        try:
+            # The error state is per thread: set it as the caller did.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _evaluate_part(cost, fx, fy, coupling, seqs, start + edges[i], values[edges[i]:edges[i + 1]])
+        except BaseException as exc:  # re-raised by the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
+    for t in threads:
+        t.start()
+    try:
+        _evaluate_part(cost, fx, fy, coupling, seqs, start, values[:edges[1]])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def mc_expectation(cost, fx, fy, coupling, n, seed, batch_size=DEFAULT_BATCH):
     """Estimate E[c(X, Y)] under one canonical coupling.
 
     Returns an ``McEstimate``; identical (seed, n, coupling) reproduce
     it bit for bit.  ``n`` must be at least 100, small enough samples
-    say nothing and hide stderr bugs.
+    say nothing and hide stderr bugs.  ``cost`` and the marginals may be
+    called from two threads at once.
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r} (known: {', '.join(COUPLINGS)})")
     n = int(n)
     if n < 100:
         raise ValueError(f"need n >= 100, got {n}")
+    if batch_size < 1:
+        raise ValueError(f"need batch_size >= 1, got {batch_size}")
     seed = int(seed)
 
     root = np.random.SeedSequence(seed)
-    if coupling == "independent":
-        seq_x, seq_y = root.spawn(2)
-        rng_x = np.random.default_rng(seq_x)
-        rng_y = np.random.default_rng(seq_y)
-    else:
-        rng = np.random.default_rng(root)
-
+    seqs = root.spawn(2) if coupling == "independent" else [root]
     acc = _Moments()
-    remaining = n
     # Overflow here is not an anomaly to warn about, it is a checked
-    # failure mode: _check_finite turns it into a diagnostic.
+    # failure mode: _check_finite and the moment check below turn it
+    # into a diagnostic.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while remaining:
-            m = min(remaining, batch_size)
-            values = np.empty(m)
-            for a in range(0, m, _CHUNK):
-                k = min(_CHUNK, m - a)
-                if coupling == "independent":
-                    x = fx.quantile(np.maximum(rng_x.random(k), _U_MIN))
-                    y = fy.quantile(np.maximum(rng_y.random(k), _U_MIN))
-                else:
-                    u = np.maximum(rng.random(k), _U_MIN)
-                    x = fx.quantile(u)
-                    y = fy.quantile(u if coupling == "comonotonic" else 1.0 - u)
-                values[a:a + k] = _check_finite(cost, x, y)
+        for start in range(0, n, batch_size):
+            values = np.empty(min(batch_size, n - start))
+            _evaluate_batch(cost, fx, fy, coupling, seqs, start, values)
             acc.add(values)
-            remaining -= m
+    if not (np.isfinite(acc.mean) and np.isfinite(acc.m2)):
+        raise NonFiniteCostError(
+            f"moments of cost {cost.name!r} overflowed: mean={acc.mean!r}, m2={acc.m2!r} over {acc.n} draws"
+        )
 
     stderr = float(np.sqrt(acc.m2 / (acc.n - 1) / acc.n))
     return McEstimate(value=acc.mean, stderr=stderr, n=acc.n, seed=seed)

@@ -432,6 +432,28 @@ class TestColdStart:
     def test_import_leaves_scipy_unloaded(self):
         assert self._modules_after("import depbound, depbound.cli") == ["False"]
 
+    def test_import_loads_no_executor_or_logging(self):
+        # mc_expectation runs its parts on bare threading.Thread: an executor
+        # would import logging on every command's cold start.
+        lines = self._modules_after(
+            "import depbound, depbound.cli\n"
+            "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+        )
+        assert lines == ["False False", "False"]
+
+    def test_two_parts_import_scipy_at_once(self):
+        # Both threads of the one batch reach the LogNormal quantile's lazy
+        # scipy.special import together; the output is unchanged.
+        lines = self._modules_after(
+            "from depbound import cli\n"
+            "assert cli.run(['mc', '--cost', 'sinr', '--fx', 'lognormal:0,0.5', '--fy', 'exp:1',"
+            " '--coupling', 'co', '--n', '1000000']) == 0"
+        )
+        assert lines == [
+            '{"value": 0.554982999043, "stderr": 5.99562024758e-05, "n": 1000000, "seed": 1729}',
+            "True",
+        ]
+
     def test_exponential_command_leaves_scipy_unloaded(self):
         lines = self._modules_after(
             "from depbound import cli\n"
@@ -495,6 +517,16 @@ class TestSubprocess:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Warning" not in err
+
+    def test_overflowing_moments_are_numerical_error(self):
+        # Every draw and cost is finite; the squared deviations are not.
+        res = self._invoke(["mc", "--cost", "product", "--fx", "lognormal:0,150", "--fy", "exp:1",
+                            "--coupling", "ind", "--n", "300000", "--seed", "3"])
+        assert res.returncode == 2
+        assert res.stdout == b""
+        err = res.stderr.decode()
+        assert err.startswith("error: moments of cost 'product' overflowed: ")
+        assert err.count("\n") == 1
 
     def test_error_goes_to_stderr_only(self):
         res = self._invoke(["bounds", "--cost", "nope", "--fx", "exp:1", "--fy", "exp:1"])

@@ -1,11 +1,14 @@
 """Monte Carlo cross-checks: determinism, CLT agreement, coupling structure."""
 
 import math
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from depbound import sampler
 from depbound.costs import CostFunction, builtin
 from depbound.marginals import Exponential, LogNormal, Rayleigh, Uniform, parse_marginal
 from depbound.sampler import (
@@ -39,6 +42,18 @@ def _one_shot_draws(fx, fy, coupling, n, seed):
         return fx.quantile(u), fy.quantile(u if coupling == "comonotonic" else 1.0 - u)
 
 
+class _Split:
+    """E1, except negative below ``lo`` and overflowing above ``hi``."""
+
+    name = "split"
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def quantile(self, u):
+        return np.where(u < self.lo, -1.0, np.where(u > self.hi, np.inf, E1.quantile(u)))
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         cost = builtin("sinr")
@@ -61,11 +76,13 @@ class TestDeterminism:
         assert chunked.value == pytest.approx(whole.value, rel=1e-12)
         assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-10)
 
-    @pytest.mark.parametrize("n", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    @pytest.mark.parametrize("n", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
+                                   2 * _CHUNK + 1, 3 * _CHUNK + 7, 6 * _CHUNK + 7])
     @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
     def test_chunks_match_one_shot_evaluation_exactly(self, coupling, n):
-        # Chunked evaluation must not move a bit: same draws, same costs,
-        # and the moments of the whole batch as one array.
+        # Chunked evaluation on parts must not move a bit: same draws, same
+        # costs, and the moments of the whole batch as one array.  Two parts
+        # meet at a chunk multiple, so n straddles both kinds of edge.
         cost, fx = builtin("sinr"), LogNormal(0.0, 0.5)
         x, y = _one_shot_draws(fx, E2, coupling, n, seed=n)
         v = cost(x, y)
@@ -89,6 +106,39 @@ class TestDeterminism:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    def test_result_does_not_depend_on_the_parts(self, coupling, monkeypatch):
+        # Several batches of four chunks each, the last one chunk long; three
+        # parts put more threads than cores on a two-core host, and a short
+        # switch interval makes them interleave often.
+        cost, fx = builtin("sinr"), LogNormal(0.0, 0.5)
+        n, batch = 10 * _CHUNK + 3, 3 * _CHUNK + 5
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for parts in (1, 2, 3):
+                monkeypatch.setattr(sampler, "_PARTS", parts)
+                results.append(mc_expectation(cost, fx, E2, coupling, n, seed=17, batch_size=batch))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+        # And every part drew its own stretch of the stream: one batch of
+        # the same draws merges to the same moments up to rounding.
+        whole = mc_expectation(cost, fx, E2, coupling, n, seed=17)
+        assert results[0].value == pytest.approx(whole.value, rel=1e-12)
+        assert results[0].stderr == pytest.approx(whole.stderr, rel=1e-10)
+
+    def test_one_chunk_batches_start_no_thread(self, monkeypatch):
+        def no_thread(**kwargs):
+            raise AssertionError("started a thread")
+
+        monkeypatch.setattr(sampler, "_PARTS", 2)
+        monkeypatch.setattr(sampler, "threading", SimpleNamespace(Thread=no_thread))
+        est = mc_expectation(builtin("sinr"), E1, E2, "comonotonic", 3 * _CHUNK, seed=4,
+                             batch_size=_CHUNK)
+        assert est.n == 3 * _CHUNK
 
     def test_metadata_round_trip(self):
         est = mc_expectation(builtin("additive"), E1, E2, "independent", 1_000, seed=3)
@@ -114,6 +164,10 @@ class TestValidation:
         fat = LogNormal(0.0, 1_000.0)
         with pytest.raises(NonFiniteCostError, match="overflow"):
             mc_expectation(builtin("product"), fat, fat, "comonotonic", 1_000, seed=1)
+
+    def test_rejects_empty_batches(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            mc_expectation(builtin("additive"), E1, E2, "independent", 1_000, seed=0, batch_size=0)
 
 
 class TestAgreement:
@@ -197,7 +251,8 @@ class TestErrorChannel:
             mc_expectation(blow, Uniform(0.5, 3.0), E1, "independent", 1_000, seed=2)
 
     def test_single_fault_names_the_first_bad_draw(self):
-        # With seed 2 the first NaN is draw 73,354, past the first chunk of 2^16.
+        # With seed 2 the first NaN is draw 73,354, past the first two chunks
+        # of 2^15, so in the second part when a batch has two.
         nan_tail = CostFunction(name="nan_tail", fn=lambda x, y: np.where(x > 11.0, np.nan, x + y))
         n = 3 * _CHUNK + 7
         x, y = _one_shot_draws(E1, E2, "comonotonic", n, seed=2)
@@ -220,3 +275,40 @@ class TestErrorChannel:
         with pytest.raises(ValueError, match="^cost 'product': arguments must be nonnegative$"):
             mc_expectation(builtin("product"), parse_marginal("uniform:-1,1"), E1, "comonotonic",
                            3 * _CHUNK + 7, seed=1729)
+
+    def test_overflowing_moments_raise(self):
+        # Every draw and cost is finite, but the squared deviations are not.
+        with pytest.raises(NonFiniteCostError, match="^moments of cost 'product' overflowed: "):
+            mc_expectation(builtin("product"), parse_marginal("lognormal:0,150"), E1, "independent",
+                           300_000, seed=3)
+
+    @pytest.mark.parametrize("rank, first_part", [(1, 1), (3, 0)], ids=["second-part-only", "both-parts"])
+    def test_first_bad_draw_across_parts(self, monkeypatch, rank, first_part):
+        # NaN above the rank-th largest draw of the first part: faults in the
+        # second part only, or in both, where the first part's must win.
+        monkeypatch.setattr(sampler, "_PARTS", 2)
+        n, edge = 4 * _CHUNK, 2 * _CHUNK
+        x, y = _one_shot_draws(E1, E2, "comonotonic", n, seed=7)
+        top = float(np.sort(x[:edge])[-rank])
+        bad = np.flatnonzero(x > top)
+        i = int(bad[0])
+        assert (i >= edge) == bool(first_part) and bad[-1] >= edge
+        nan_top = CostFunction(name="nan_top", fn=lambda a, b: np.where(a > top, np.nan, a + b))
+        with pytest.raises(NonFiniteCostError) as info:
+            mc_expectation(nan_top, E1, E2, "comonotonic", n, seed=7)
+        assert str(info.value) == f"cost 'nan_top' returned nan at (x={float(x[i])!r}, y={float(y[i])!r})"
+
+    def test_first_part_error_wins(self, monkeypatch):
+        # Negative draws only in the first part, overflowing ones only in the
+        # second: the domain check's ValueError wins, as in one sequential pass.
+        n, edge = 4 * _CHUNK, 2 * _CHUNK
+        root = np.random.SeedSequence(4)
+        u = np.maximum(np.random.default_rng(root).random(n), 2.0**-53)
+        lo, hi = float(u[edge:].min()), float(u[:edge].max())
+        assert u[:edge].min() < lo and u[edge:].max() > hi
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(sampler, "_PARTS", parts)
+            with pytest.raises(ValueError, match="^cost 'product': arguments must be nonnegative$"):
+                mc_expectation(builtin("product"), _Split(lo, hi), E2, "comonotonic", n, seed=4)
+            with pytest.raises(NonFiniteCostError, match="^marginal draw overflowed: "):
+                mc_expectation(builtin("product"), _Split(0.0, hi), E2, "comonotonic", n, seed=4)
