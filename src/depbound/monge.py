@@ -66,7 +66,9 @@ class MongeReport:
     method: str
 
 
-def _validate_grid(domain, n):
+def _validate_grid(domain, n, tol):
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     try:
         x0, x1, y0, y1 = (float(v) for v in domain)
     except (TypeError, ValueError):
@@ -126,7 +128,7 @@ def check_cross_difference(cost, domain, n=64, tol=CROSS_DIFFERENCE_TOL):
     c(x_{i+1}, y_{j+1}) + c(x_i, y_j) - c(x_i, y_{j+1}) - c(x_{i+1}, y_j);
     everywhere <= tol means submodular, everywhere >= -tol supermodular.
     """
-    domain, n = _validate_grid(domain, n)
+    domain, n = _validate_grid(domain, n, tol)
     x0, x1, y0, y1 = domain
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
@@ -145,7 +147,7 @@ def check_mixed_partial(cost, domain, n=64, tol=MIXED_PARTIAL_TOL, step=None):
     larger domain extent).  The grid is inset by h so the stencil never
     leaves the domain.
     """
-    domain, n = _validate_grid(domain, n)
+    domain, n = _validate_grid(domain, n, tol)
     x0, x1, y0, y1 = domain
     if cost.mixed_partial is not None and step is None:
         xs = np.linspace(x0, x1, n)

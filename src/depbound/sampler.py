@@ -3,24 +3,24 @@
 The dependent couplings ride a single uniform stream: comonotonic draws
 are (qx(u), qy(u)), countermonotonic (qx(u), qy(1 - u)), so runs that
 share a seed are antithetic by construction.  Independence uses two
-streams spawned from the root seed.  Moments accumulate in one pass
-with exact pairwise merging, so the estimate is stable out to n = 1e8
-and independent of the batch partition.
+streams spawned from the root seed.
 
-The batch (``batch_size`` draws) is the unit of that merge; the part is
-the unit of threading; the chunk (``_CHUNK`` draws) is the unit of
-evaluation.  Each batch is cut into up to ``_PARTS`` contiguous parts on
-chunk boundaries: the calling thread evaluates the first and one thread
-each evaluates the others.  A part that starts at draw ``a`` of the
-sample draws from its own PCG64 generator advanced by ``a`` steps, which
-is exactly the stream a sequential pass reaches at ``a``.  Each chunk
-draws its uniforms, maps them through the quantiles and writes its costs
-into the batch's one buffer, so the temporaries stay cache-sized while
-the mean and the squared deviations still run over the whole batch: the
-result does not depend on ``_PARTS`` or ``_CHUNK``, bit for bit.  Draws
-and costs are checked chunk by chunk and a part's error is re-raised
-only when no earlier part failed, so when a sample holds two faults, the
-first chunk with a fault decides the error.
+The chunk (``_CHUNK`` draws) is the unit of evaluation and of the moment
+merge; the part is the unit of threading.  The sample is cut into
+chunks and the chunks into up to ``_PARTS`` contiguous parts: the
+calling thread evaluates the first part and one thread each evaluates
+the others.  A part that starts at draw ``a`` of the sample draws from
+its own PCG64 generator advanced by ``a`` steps, which is exactly the
+stream a sequential pass reaches at ``a``.  Each chunk draws its
+uniforms, maps them through the quantiles, checks draws and costs, and
+writes its mean and M2 into its own row of one ``(chunks, 2)`` array.
+Once the parts have joined, the rows are merged in chunk order with the
+exact pairwise update of Chan, Golub & LeVeque, so the estimate is
+stable out to n = 1e8.  Memory is chunk-sized temporaries plus 16 bytes
+per chunk.  The result is defined by the chunk size and does not depend
+on ``_PARTS``, bit for bit.  A part's error is re-raised only when no
+earlier part failed, so when a sample holds two faults, the first chunk
+with a fault decides the error.
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ COUPLINGS = ("comonotonic", "countermonotonic", "independent")
 # 2^-53 keeps both u and 1-u strictly inside (0, 1) with no other change.
 _U_MIN = 2.0**-53
 
-DEFAULT_BATCH = 1 << 20
-# Draws evaluated at once: large enough to amortize numpy's per-call
-# overhead, small enough that the temporaries of the chunks in flight,
-# one per part, stay in cache.
+# Draws evaluated and merged at once: large enough to amortize numpy's
+# per-call overhead, small enough that the temporaries of the chunks in
+# flight, one per part, stay in cache.  Changing it moves result bits.
 _CHUNK = 1 << 15
-# Parts of a batch evaluated at once, one thread each; numpy and
+# Parts of the sample evaluated at once, one thread each; numpy and
 # scipy.special ufuncs release the GIL, so the parts overlap.
 _PARTS = min(2, os.cpu_count() or 1)
 
@@ -67,32 +66,6 @@ class McEstimate:
     seed: int
 
 
-class _Moments:
-    """Streaming count/mean/M2 with the exact pairwise-merge update."""
-
-    __slots__ = ("n", "mean", "m2")
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, values):
-        """Merge one batch; overwrites ``values`` with its squared deviations."""
-        nb = values.size
-        if nb == 0:
-            return
-        mb = float(values.mean())
-        np.subtract(values, mb, out=values)
-        m2b = float(np.sum(np.square(values, out=values)))
-        na = self.n
-        total = na + nb
-        delta = mb - self.mean
-        self.mean += delta * nb / total
-        self.m2 += m2b + delta * delta * na * nb / total
-        self.n = total
-
-
 def _check_finite(cost, x, y):
     # Draws can overflow before the cost ever runs (heavy-tailed
     # quantiles); both cases are numerical failures, not usage errors.
@@ -103,6 +76,8 @@ def _check_finite(cost, x, y):
             f"marginal draw overflowed: (x={float(x[i])!r}, y={float(y[i])!r}) before cost {cost.name!r}"
         )
     values = np.asarray(cost(x, y), dtype=float)
+    if values.shape != x.shape:  # a scalar, or a shape that broadcasts to the draws'
+        values = np.broadcast_to(values, x.shape)
     if not np.all(np.isfinite(values)):
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NonFiniteCostError(
@@ -116,11 +91,11 @@ def _uniforms(rng, k):
     return np.maximum(u, _U_MIN, out=u)
 
 
-def _evaluate_part(cost, fx, fy, coupling, seqs, offset, values):
-    """Fill ``values`` with the costs of the draws from ``offset`` on."""
-    rngs = [np.random.Generator(np.random.PCG64(seq).advance(offset)) for seq in seqs]
-    for a in range(0, values.size, _CHUNK):
-        k = min(_CHUNK, values.size - a)
+def _evaluate_part(cost, fx, fy, coupling, seqs, n, first, stop, stats):
+    """Write the mean and M2 of chunks ``first`` to ``stop - 1`` into ``stats``."""
+    rngs = [np.random.Generator(np.random.PCG64(seq).advance(first * _CHUNK)) for seq in seqs]
+    for j in range(first, stop):
+        k = min(_CHUNK, n - j * _CHUNK)
         if coupling == "independent":
             x = fx.quantile(_uniforms(rngs[0], k))
             y = fy.quantile(_uniforms(rngs[1], k))
@@ -129,79 +104,92 @@ def _evaluate_part(cost, fx, fy, coupling, seqs, offset, values):
             x = fx.quantile(u)
             # Not in place: a marginal may return its input as x.
             y = fy.quantile(u if coupling == "comonotonic" else 1.0 - u)
-        values[a:a + k] = _check_finite(cost, x, y)
+        values = _check_finite(cost, x, y)
+        # np.mean's and np.sum's arithmetic without their Python wrappers,
+        # which hold the GIL.
+        mean = float(np.add.reduce(values)) / k
+        dev = np.subtract(values, mean)
+        stats[j] = mean, float(np.add.reduce(np.square(dev, out=dev)))
 
 
-def _evaluate_batch(cost, fx, fy, coupling, seqs, start, values):
-    """Evaluate one batch as parts on threads; the earliest failing part's error wins."""
-    chunks = -(-values.size // _CHUNK)
-    parts = min(_PARTS, chunks)
-    edges = [min(values.size, i * chunks // parts * _CHUNK) for i in range(parts + 1)]
-    errors = [None] * parts
-
-    def work(i):
-        try:
-            # The error state is per thread: set it as the caller did.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _evaluate_part(cost, fx, fy, coupling, seqs, start + edges[i], values[edges[i]:edges[i + 1]])
-        except BaseException as exc:  # re-raised by the calling thread
-            errors[i] = exc
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
-    for t in threads:
-        t.start()
-    try:
-        _evaluate_part(cost, fx, fy, coupling, seqs, start, values[:edges[1]])
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+def _merge(stats, n):
+    """Merge per-chunk (mean, M2) rows in chunk order by the exact pairwise update."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for j, (mb, m2b) in enumerate(stats.tolist()):
+        nb = min(_CHUNK, n - j * _CHUNK)
+        total = count + nb
+        delta = mb - mean
+        mean += delta * nb / total
+        m2 += m2b + delta * delta * count * nb / total
+        count = total
+    return mean, m2
 
 
-def mc_expectation(cost, fx, fy, coupling, n, seed, batch_size=DEFAULT_BATCH):
+def mc_expectation(cost, fx, fy, coupling, n, seed):
     """Estimate E[c(X, Y)] under one canonical coupling.
 
     Returns an ``McEstimate``; identical (seed, n, coupling) reproduce
-    it bit for bit.  ``n`` must be at least 100, small enough samples
-    say nothing and hide stderr bugs.  ``cost`` and the marginals may be
-    called from two threads at once.
+    it bit for bit, whatever the number of threads.  ``n`` must be at
+    least 100, small enough samples say nothing and hide stderr bugs.
+    The sample is evaluated and its moments merged in chunks of
+    ``_CHUNK`` draws, which define the result; memory is chunk-sized
+    temporaries plus 16 bytes per chunk.  ``cost`` and the marginals may
+    be called from two threads at once.
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r} (known: {', '.join(COUPLINGS)})")
     n = int(n)
     if n < 100:
         raise ValueError(f"need n >= 100, got {n}")
-    if batch_size < 1:
-        raise ValueError(f"need batch_size >= 1, got {batch_size}")
     seed = int(seed)
 
     root = np.random.SeedSequence(seed)
     seqs = root.spawn(2) if coupling == "independent" else [root]
-    acc = _Moments()
+    chunks = -(-n // _CHUNK)
+    parts = min(_PARTS, chunks)
+    edges = [i * chunks // parts for i in range(parts + 1)]
+    stats = np.empty((chunks, 2))
+    errors = [None] * parts
+
+    def work(i):
+        try:
+            # The error state is per thread: set it as the caller does.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _evaluate_part(cost, fx, fy, coupling, seqs, n, edges[i], edges[i + 1], stats)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors[i] = exc
+
     # Overflow here is not an anomaly to warn about, it is a checked
     # failure mode: _check_finite and the moment check below turn it
     # into a diagnostic.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, n, batch_size):
-            values = np.empty(min(batch_size, n - start))
-            _evaluate_batch(cost, fx, fy, coupling, seqs, start, values)
-            acc.add(values)
-    if not (np.isfinite(acc.mean) and np.isfinite(acc.m2)):
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
+        for t in threads:
+            t.start()
+        try:
+            _evaluate_part(cost, fx, fy, coupling, seqs, n, 0, edges[1], stats)
+        finally:
+            for t in threads:
+                t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    mean, m2 = _merge(stats, n)
+    if not (np.isfinite(mean) and np.isfinite(m2)):
         raise NonFiniteCostError(
-            f"moments of cost {cost.name!r} overflowed: mean={acc.mean!r}, m2={acc.m2!r} over {acc.n} draws"
+            f"moments of cost {cost.name!r} overflowed: mean={mean!r}, m2={m2!r} over {n} draws"
         )
 
-    stderr = float(np.sqrt(acc.m2 / (acc.n - 1) / acc.n))
-    return McEstimate(value=acc.mean, stderr=stderr, n=acc.n, seed=seed)
+    stderr = float(np.sqrt(m2 / (n - 1) / n))
+    return McEstimate(value=mean, stderr=stderr, n=n, seed=seed)
 
 
 def empirical_correlation(x, y):
     """Pearson correlation of two equally long samples.
 
-    Degenerate input (fewer than two points, or zero variance in either
-    coordinate) raises rather than returning NaN.
+    Degenerate input (fewer than two points, a non-finite value, zero
+    variance in either coordinate, or moments that do not fit a float)
+    raises rather than returning NaN.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -209,11 +197,17 @@ def empirical_correlation(x, y):
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("need at least two pairs")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    vx = float(dx @ dx)
-    vy = float(dy @ dy)
-    if vx == 0.0 or vy == 0.0:
-        raise ValueError("degenerate sample: zero variance in a coordinate")
-    r = float(dx @ dy) / np.sqrt(vx * vy)
-    return float(np.clip(r, -1.0, 1.0))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("sample holds a non-finite value")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        vx = float(dx @ dx)
+        vy = float(dy @ dy)
+        if vx == 0.0 or vy == 0.0:
+            raise ValueError("degenerate sample: zero variance in a coordinate")
+        cxy = float(dx @ dy)
+        scale = float(np.sqrt(vx * vy))
+    if not (np.isfinite(cxy) and 0.0 < scale < np.inf):
+        raise ValueError(f"moments do not fit a float: var_x={vx!r}, var_y={vy!r}, cov={cxy!r}")
+    return float(np.clip(cxy / scale, -1.0, 1.0))

@@ -15,7 +15,7 @@ environment, not of the marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class TwoRayGeometry:
     propagation_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)!r}")
         if not (self.a1 >= 0.0 and self.a2 >= 0.0):
             raise ValueError("amplitudes must be nonnegative")
         if not self.f > 0.0:

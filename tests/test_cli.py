@@ -222,6 +222,10 @@ class TestMonge:
         _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,10,0"], 1)
         _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,ten,0,10"], 1)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        _fail(capsys, ["monge", "--cost", "product", "--domain", "0,1,0,1", f"--tol={tol}"], 1)
+
 
 class TestCollision:
     def test_full_schema(self, capsys):
@@ -277,6 +281,9 @@ class TestTworay:
         argv = ["tworay", "corr", "--f", "2e9", "--htx", "10", "--h1", "1",
                 "--dh", "-2", "--a1", "1", "--a2", "0.5", "--d", "20:50:1000"]
         _fail(capsys, argv, 1)
+        # Infinite fields printed a NaN rho, or non-JSON Infinity/NaN.
+        _fail(capsys, ["tworay", "corr", *self.GEOM, "--f", "inf", "--d", "20:50:100"], 1)
+        _fail(capsys, ["tworay", "trace", *self.GEOM, "--a1", "inf", "--d", "20:50:11", "--json"], 1)
 
 
 class TestOutputFormats:

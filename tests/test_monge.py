@@ -118,6 +118,15 @@ def test_grid_validation(domain, n):
         check_cross_difference(builtin("sinr"), domain, n=n)
 
 
+@pytest.mark.parametrize("check", [check_cross_difference, check_mixed_partial], ids=["cross", "partial"])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+def test_tolerance_validation(check, tol):
+    # A NaN or infinite tolerance called every grid modular, a negative
+    # one every grid neither.
+    with pytest.raises(ValueError, match="tolerance"):
+        check(builtin("product"), (0.0, 1.0, 0.0, 1.0), n=8, tol=tol)
+
+
 def test_fd_step_must_fit():
     with pytest.raises(ValueError):
         check_mixed_partial(builtin("sinr"), (0.0, 0.1, 0.0, 0.1), n=8, step=0.2)

@@ -67,36 +67,34 @@ class TestDeterminism:
         b = mc_expectation(cost, E1, E2, "independent", 50_000, seed=8)
         assert a.value != b.value
 
-    def test_batch_partition_invariance(self):
-        # Streaming moments must not depend on how draws are chunked.
-        cost = builtin("product")
-        whole = mc_expectation(cost, E1, E2, "countermonotonic", 30_000, seed=11)
-        chunked = mc_expectation(cost, E1, E2, "countermonotonic", 30_000, seed=11,
-                                 batch_size=4_096)
-        assert chunked.value == pytest.approx(whole.value, rel=1e-12)
-        assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-10)
-
     @pytest.mark.parametrize("n", [100, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK,
                                    2 * _CHUNK + 1, 3 * _CHUNK + 7, 6 * _CHUNK + 7])
     @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
     def test_chunks_match_one_shot_evaluation_exactly(self, coupling, n):
         # Chunked evaluation on parts must not move a bit: same draws, same
-        # costs, and the moments of the whole batch as one array.  Two parts
+        # costs, each chunk's mean and M2, merged in chunk order.  Two parts
         # meet at a chunk multiple, so n straddles both kinds of edge.
         cost, fx = builtin("sinr"), LogNormal(0.0, 0.5)
         x, y = _one_shot_draws(fx, E2, coupling, n, seed=n)
         v = cost(x, y)
-        mean = float(v.mean())
-        m2 = float(np.sum((v - mean) ** 2))
+        count, mean, m2 = 0, 0.0, 0.0
+        for a in range(0, n, _CHUNK):
+            chunk = v[a:a + _CHUNK]
+            mb = float(chunk.mean())
+            m2b = float(np.sum((chunk - mb) ** 2))
+            nb, total = chunk.size, count + chunk.size
+            delta = mb - mean
+            mean += delta * nb / total
+            m2 += m2b + delta * delta * count * nb / total
+            count = total
         est = mc_expectation(cost, fx, E2, coupling, n, seed=n)
-        # One batch merged into empty moments: 0 + mean * n / n, not always mean.
-        assert est.value == 0.0 + mean * n / n
+        assert est.value == mean
         assert est.stderr == float(np.sqrt(m2 / (n - 1) / n))
 
     @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
     def test_memory_is_one_buffer_per_batch(self, coupling):
-        # 10^6 draws: one 8 MB buffer plus chunk-sized temporaries, where a
-        # whole-batch evaluation peaks at four to five such arrays.
+        # 10^6 draws: chunk-sized temporaries plus 16 bytes per chunk, where
+        # an 8 MB buffer of all costs alone would break the bound.
         cost = builtin("sinr")
         mc_expectation(cost, E1, E2, coupling, 1_000, seed=1)
         tracemalloc.start()
@@ -105,30 +103,25 @@ class TestDeterminism:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 6e6
 
     @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
     def test_result_does_not_depend_on_the_parts(self, coupling, monkeypatch):
-        # Several batches of four chunks each, the last one chunk long; three
-        # parts put more threads than cores on a two-core host, and a short
-        # switch interval makes them interleave often.
+        # Eleven chunks, the last three draws long; three parts put more
+        # threads than cores on a two-core host, and a short switch interval
+        # makes them interleave often.
         cost, fx = builtin("sinr"), LogNormal(0.0, 0.5)
-        n, batch = 10 * _CHUNK + 3, 3 * _CHUNK + 5
+        n = 10 * _CHUNK + 3
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for parts in (1, 2, 3):
                 monkeypatch.setattr(sampler, "_PARTS", parts)
-                results.append(mc_expectation(cost, fx, E2, coupling, n, seed=17, batch_size=batch))
+                results.append(mc_expectation(cost, fx, E2, coupling, n, seed=17))
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
-        # And every part drew its own stretch of the stream: one batch of
-        # the same draws merges to the same moments up to rounding.
-        whole = mc_expectation(cost, fx, E2, coupling, n, seed=17)
-        assert results[0].value == pytest.approx(whole.value, rel=1e-12)
-        assert results[0].stderr == pytest.approx(whole.stderr, rel=1e-10)
 
     def test_one_chunk_batches_start_no_thread(self, monkeypatch):
         def no_thread(**kwargs):
@@ -136,9 +129,13 @@ class TestDeterminism:
 
         monkeypatch.setattr(sampler, "_PARTS", 2)
         monkeypatch.setattr(sampler, "threading", SimpleNamespace(Thread=no_thread))
-        est = mc_expectation(builtin("sinr"), E1, E2, "comonotonic", 3 * _CHUNK, seed=4,
-                             batch_size=_CHUNK)
-        assert est.n == 3 * _CHUNK
+        est = mc_expectation(builtin("sinr"), E1, E2, "comonotonic", _CHUNK, seed=4)
+        assert est.n == _CHUNK
+
+    def test_scalar_cost_broadcasts_over_the_chunk(self):
+        const = CostFunction(name="const", fn=lambda x, y: 2.5)
+        est = mc_expectation(const, E1, E2, "independent", 2 * _CHUNK + 1, seed=1)
+        assert (est.value, est.stderr) == (2.5, 0.0)
 
     def test_metadata_round_trip(self):
         est = mc_expectation(builtin("additive"), E1, E2, "independent", 1_000, seed=3)
@@ -164,10 +161,6 @@ class TestValidation:
         fat = LogNormal(0.0, 1_000.0)
         with pytest.raises(NonFiniteCostError, match="overflow"):
             mc_expectation(builtin("product"), fat, fat, "comonotonic", 1_000, seed=1)
-
-    def test_rejects_empty_batches(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            mc_expectation(builtin("additive"), E1, E2, "independent", 1_000, seed=0, batch_size=0)
 
 
 class TestAgreement:
@@ -229,6 +222,17 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             empirical_correlation(x[:1], x[:1])
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "huge"])
+    def test_non_finite_input_or_moments_rejected(self, bad):
+        # Each of these returned NaN, or 0.0 for the huge sample, whose
+        # squared deviations overflow.
+        x = np.linspace(0.0, 5.0, 100)
+        y = {"inf": np.r_[x[:-1], np.inf], "nan": np.r_[np.nan, x[1:]], "huge": 1e200 * x}[bad]
+        with pytest.raises(ValueError, match="non-finite" if bad != "huge" else "fit a float"):
+            empirical_correlation(x, y)
+        with pytest.raises(ValueError):
+            empirical_correlation(y, x)
+
     def test_countermonotonic_exponential_pair(self):
         # Corr(X, Y) under the opposed coupling of two unit exponentials
         # is 1 - pi^2/6.
@@ -252,7 +256,7 @@ class TestErrorChannel:
 
     def test_single_fault_names_the_first_bad_draw(self):
         # With seed 2 the first NaN is draw 73,354, past the first two chunks
-        # of 2^15, so in the second part when a batch has two.
+        # of 2^15, so in the second part when the sample has two.
         nan_tail = CostFunction(name="nan_tail", fn=lambda x, y: np.where(x > 11.0, np.nan, x + y))
         n = 3 * _CHUNK + 7
         x, y = _one_shot_draws(E1, E2, "comonotonic", n, seed=2)

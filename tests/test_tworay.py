@@ -122,6 +122,12 @@ class TestValidation:
             TwoRayGeometry(a1=1.0, a2=0.5, f=2e9, h_tx=0.0, h1=1.0, dh=0.05)
         with pytest.raises(ValueError):
             TwoRayGeometry(a1=1.0, a2=0.5, f=2e9, h_tx=10.0, h1=1.0, dh=-1.0)
+        # Infinite or NaN fields passed the sign checks and gave NaN envelopes.
+        inf, nan = math.inf, math.nan
+        for bad in ({"f": inf}, {"a1": inf}, {"a2": inf}, {"h_tx": inf}, {"h1": inf}, {"dh": inf},
+                    {"dh": nan}, {"propagation_speed": inf}):
+            with pytest.raises(ValueError, match="finite"):
+                TwoRayGeometry(**{"a1": 1.0, "a2": 0.5, "f": 2e9, "h_tx": 10.0, "h1": 1.0, "dh": 0.05, **bad})
 
     def test_distance_domain(self):
         geom = _mast(dh=0.05)
