@@ -25,7 +25,9 @@ class CostFunction:
 
     ``fn`` and ``mixed_partial`` must accept scalars or broadcastable
     arrays of nonnegative floats.  Call the instance directly; the call
-    validates the domain once and delegates.
+    validates the domain once, delegates, and broadcasts a result that
+    ignores an argument (a constant, or f(y) alone) to the arguments'
+    broadcast shape.
     """
 
     name: str
@@ -35,14 +37,14 @@ class CostFunction:
 
     def __call__(self, x, y):
         _check_domain(self.name, x, y)
-        return self.fn(x, y)
+        return _broadcast(self.fn(x, y), x, y)
 
     def cross_partial(self, x, y):
         """Analytic d2c/dxdy.  Raises if this cost does not define one."""
         if self.mixed_partial is None:
             raise ValueError(f"cost {self.name!r} has no analytic mixed partial")
         _check_domain(self.name, x, y)
-        return self.mixed_partial(x, y)
+        return _broadcast(self.mixed_partial(x, y), x, y)
 
     def __repr__(self):
         if self.params:
@@ -64,11 +66,9 @@ def _check_domain(name, x, y):
         raise ValueError(f"cost {name!r}: arguments must be nonnegative")
 
 
-def _const_field(value):
-    def mp(x, y):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, value)
-
-    return mp
+def _broadcast(value, x, y):
+    shape = np.broadcast(x, y).shape
+    return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
 
 def _make_sinr():
@@ -76,7 +76,7 @@ def _make_sinr():
     return CostFunction(
         name="sinr",
         fn=lambda x, y: x / (1.0 + y),
-        mixed_partial=lambda x, y: -1.0 / (1.0 + y) ** 2 + 0.0 * x,
+        mixed_partial=lambda x, y: -1.0 / (1.0 + y) ** 2,
     )
 
 
@@ -137,11 +137,11 @@ def _make_prop_fair():
 
 
 def _make_product():
-    return CostFunction(name="product", fn=lambda x, y: x * y, mixed_partial=_const_field(1.0))
+    return CostFunction(name="product", fn=lambda x, y: x * y, mixed_partial=lambda x, y: 1.0)
 
 
 def _make_additive():
-    return CostFunction(name="additive", fn=lambda x, y: x + y, mixed_partial=_const_field(0.0))
+    return CostFunction(name="additive", fn=lambda x, y: x + y, mixed_partial=lambda x, y: 0.0)
 
 
 BUILTIN_COSTS = {

@@ -1,9 +1,8 @@
 """Seedable Monte Carlo oracle for the three canonical couplings.
 
-The dependent couplings ride a single uniform stream: comonotonic draws
-are (qx(u), qy(u)), countermonotonic (qx(u), qy(1 - u)), so runs that
-share a seed are antithetic by construction.  Independence uses two
-streams spawned from the root seed.
+A dependent coupling draws (qx(u), qy(T(u))) from one stream, T from
+``transport.COUPLING_MAPS``, so co- and countermonotonic runs sharing a
+seed are antithetic.  Independence uses two streams spawned from the root.
 
 The chunk (``_CHUNK`` draws) is the unit of evaluation and of the moment
 merge; the part is the unit of threading.  The sample is cut into
@@ -31,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .transport import COUPLING_MAPS
+
 __all__ = [
     "COUPLINGS",
     "McEstimate",
@@ -39,7 +40,7 @@ __all__ = [
     "empirical_correlation",
 ]
 
-COUPLINGS = ("comonotonic", "countermonotonic", "independent")
+COUPLINGS = (*COUPLING_MAPS, "independent")
 
 # rng.random() emits multiples of 2^-53 in [0, 1); pinning exact zeros to
 # 2^-53 keeps both u and 1-u strictly inside (0, 1) with no other change.
@@ -76,8 +77,6 @@ def _check_finite(cost, x, y):
             f"marginal draw overflowed: (x={float(x[i])!r}, y={float(y[i])!r}) before cost {cost.name!r}"
         )
     values = np.asarray(cost(x, y), dtype=float)
-    if values.shape != x.shape:  # a scalar, or a shape that broadcasts to the draws'
-        values = np.broadcast_to(values, x.shape)
     if not np.all(np.isfinite(values)):
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NonFiniteCostError(
@@ -91,19 +90,14 @@ def _uniforms(rng, k):
     return np.maximum(u, _U_MIN, out=u)
 
 
-def _evaluate_part(cost, fx, fy, coupling, seqs, n, first, stop, stats):
-    """Write the mean and M2 of chunks ``first`` to ``stop - 1`` into ``stats``."""
+def _evaluate_part(cost, fx, fy, t, seqs, n, first, stop, stats):
+    """Write the mean and M2 of chunks ``first`` to ``stop - 1`` into ``stats``; ``t`` is None for independence."""
     rngs = [np.random.Generator(np.random.PCG64(seq).advance(first * _CHUNK)) for seq in seqs]
     for j in range(first, stop):
         k = min(_CHUNK, n - j * _CHUNK)
-        if coupling == "independent":
-            x = fx.quantile(_uniforms(rngs[0], k))
-            y = fy.quantile(_uniforms(rngs[1], k))
-        else:
-            u = _uniforms(rngs[0], k)
-            x = fx.quantile(u)
-            # Not in place: a marginal may return its input as x.
-            y = fy.quantile(u if coupling == "comonotonic" else 1.0 - u)
+        u = _uniforms(rngs[0], k)
+        x = fx.quantile(u)
+        y = fy.quantile(_uniforms(rngs[1], k) if t is None else t(u))
         values = _check_finite(cost, x, y)
         # np.mean's and np.sum's arithmetic without their Python wrappers,
         # which hold the GIL.
@@ -143,8 +137,9 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
         raise ValueError(f"need n >= 100, got {n}")
     seed = int(seed)
 
+    t = COUPLING_MAPS.get(coupling)
     root = np.random.SeedSequence(seed)
-    seqs = root.spawn(2) if coupling == "independent" else [root]
+    seqs = root.spawn(2) if t is None else [root]
     chunks = -(-n // _CHUNK)
     parts = min(_PARTS, chunks)
     edges = [i * chunks // parts for i in range(parts + 1)]
@@ -155,7 +150,7 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
         try:
             # The error state is per thread: set it as the caller does.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _evaluate_part(cost, fx, fy, coupling, seqs, n, edges[i], edges[i + 1], stats)
+                _evaluate_part(cost, fx, fy, t, seqs, n, edges[i], edges[i + 1], stats)
         except BaseException as exc:  # re-raised by the calling thread
             errors[i] = exc
 
@@ -164,13 +159,13 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
     # into a diagnostic.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
-        for t in threads:
-            t.start()
+        for thread in threads:
+            thread.start()
         try:
-            _evaluate_part(cost, fx, fy, coupling, seqs, n, 0, edges[1], stats)
+            _evaluate_part(cost, fx, fy, t, seqs, n, 0, edges[1], stats)
         finally:
-            for t in threads:
-                t.join()
+            for thread in threads:
+                thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -207,7 +202,7 @@ def empirical_correlation(x, y):
         if vx == 0.0 or vy == 0.0:
             raise ValueError("degenerate sample: zero variance in a coordinate")
         cxy = float(dx @ dy)
-        scale = float(np.sqrt(vx * vy))
+        scale = float(np.sqrt(vx) * np.sqrt(vy))
     if not (np.isfinite(cxy) and 0.0 < scale < np.inf):
         raise ValueError(f"moments do not fit a float: var_x={vx!r}, var_y={vy!r}, cov={cxy!r}")
     return float(np.clip(cxy / scale, -1.0, 1.0))

@@ -1,12 +1,12 @@
 """Sharp dependence bounds on E[c(X, Y)] with fixed marginals.
 
-For a submodular cost the extremes over all joints with the given
-marginals are attained by the two monotone couplings: the comonotonic
-expectation integral(c(qx(u), qy(u)) du) is the minimum and the
-countermonotonic integral(c(qx(u), qy(1-u)) du) the maximum; for a
-supermodular cost the roles swap (apply the submodular result to -c).
-Everything here reduces to 1-D quadrature of quantile couplings on
-(0, 1), plus a nested pass for the independent baseline.
+A dependent coupling is a measure-preserving map T of (0, 1), named in
+``COUPLING_MAPS``, and its expectation is integral(c(qx(u), qy(T(u))) du).
+For a submodular cost the comonotonic coupling gives the minimum over
+all joints with the given marginals and the countermonotonic one the
+maximum; for a supermodular cost the roles swap (apply the submodular
+result to -c).  Everything here reduces to 1-D quadrature of these
+couplings on (0, 1), plus a nested pass for the independent baseline.
 
 The quadrature engine is an adaptive Gauss-Kronrod 7/15 pair on one
 worklist of panels, which carries a single integral, all the inner
@@ -75,6 +75,11 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+# The dependent couplings as measure-preserving maps T of (0, 1), Y = qy(T(U)), read by
+# the quadrature and the Monte Carlo oracle.  A map returns a new array or ``u`` itself
+# and never writes into ``u``: a marginal may return its input as x.
+COUPLING_MAPS = {"comonotonic": lambda u: u, "countermonotonic": lambda u: 1.0 - u}
 
 
 @dataclass(frozen=True)
@@ -258,21 +263,21 @@ def _by_row(costs, rows, x, y):
     return out
 
 
-def _coupled_rows(costs, fx, fy, counter, config=None):
-    """Comonotonic, or with ``counter`` countermonotonic, expectations of ``costs``."""
-    qx, qy = fx.quantile, fy.quantile
+def _coupled_rows(costs, fx, fy, coupling, config=None):
+    """Expectations of ``costs`` under the map ``COUPLING_MAPS[coupling]``."""
+    qx, qy, t = fx.quantile, fy.quantile, COUPLING_MAPS[coupling]
     cfg = config or DEFAULT_CONFIG
-    return _unit_rows(lambda u, which: _by_row(costs, which, qx(u), qy(1.0 - u if counter else u)), len(costs), cfg)
+    return _unit_rows(lambda u, which: _by_row(costs, which, qx(u), qy(t(u))), len(costs), cfg)
 
 
 def comonotonic_expectation(cost, fx, fy, config=None):
     """E[c(X, Y)] under the maximal-dependence coupling (qx(U), qy(U))."""
-    return _coupled_rows([cost], fx, fy, False, config)[0]
+    return _coupled_rows([cost], fx, fy, "comonotonic", config)[0]
 
 
 def countermonotonic_expectation(cost, fx, fy, config=None):
     """E[c(X, Y)] under the minimal-dependence coupling (qx(U), qy(1-U))."""
-    return _coupled_rows([cost], fx, fy, True, config)[0]
+    return _coupled_rows([cost], fx, fy, "countermonotonic", config)[0]
 
 
 def _independent_rows(costs, fx, fy, config=None):
@@ -428,8 +433,8 @@ def bounds_sweep(cost_factory, params, fx, fy, config=None, include_independent=
     try:
         results = _bounds_rows(
             costs, reports, include_independent,
-            lambda cs: _coupled_rows(cs, fx, fy, False, config),
-            lambda cs: _coupled_rows(cs, fx, fy, True, config),
+            lambda cs: _coupled_rows(cs, fx, fy, "comonotonic", config),
+            lambda cs: _coupled_rows(cs, fx, fy, "countermonotonic", config),
             lambda cs: _independent_rows(cs, fx, fy, config),
         )
     except QuadratureError as exc:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from depbound.costs import builtin, parse_cost
+from depbound.costs import CostFunction, builtin, parse_cost
 
 ALL_NAMES = ["sinr", "mac_rate1", "sum_rate", "secret_key", "prop_fair", "product", "additive"]
 
@@ -70,6 +70,23 @@ def test_vectorized_matches_scalar(name):
     vec = cost(xs, ys)
     for i in range(xs.size):
         assert vec[i] == pytest.approx(cost(float(xs[i]), float(ys[i])), rel=1e-15)
+
+
+def test_results_broadcast_over_the_arguments():
+    # A value or partial that ignores an argument still gives one value per point.
+    x = np.linspace(0.0, 1.0, 3)[:, None]
+    y = np.linspace(0.0, 1.0, 4)[None, :]
+    const = CostFunction(name="const", fn=lambda x, y: 2.5, mixed_partial=lambda x, y: 0.0)
+    sinr, product = _make("sinr"), _make("product")
+    for values, expected in [
+        (const(x, y), 2.5),
+        (const.cross_partial(x, y), 0.0),
+        (product.cross_partial(x, y), 1.0),
+        (sinr.cross_partial(x, y), -1.0 / (1.0 + y) ** 2),
+    ]:
+        assert np.shape(values) == (3, 4)
+        np.testing.assert_array_equal(values, np.broadcast_to(expected, (3, 4)))
+    assert np.shape(const(1.0, 2.0)) == ()
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -104,6 +104,16 @@ def test_modular_reports_largest_excursion():
     assert report.max_violation < 1e-12
 
 
+@pytest.mark.parametrize("partial", [None, lambda x, y: 0.0], ids=["fd", "analytic"])
+@pytest.mark.parametrize("check", [check_cross_difference, check_mixed_partial], ids=["cross", "partial"])
+def test_constant_cost_is_modular(check, partial):
+    # The cross-difference check indexed the constant's scalar value as
+    # a grid and raised TypeError.
+    const = CostFunction(name="const", fn=lambda x, y: 1.0, mixed_partial=partial)
+    report = check(const, BOX, n=16)
+    assert (report.classification, report.max_violation) == ("modular", 0.0)
+
+
 def test_overflowing_grid_raises_classification_error():
     with pytest.raises(ClassificationError):
         check_cross_difference(builtin("product"), (0.0, 1e200, 0.0, 1e200), n=8)

@@ -20,6 +20,7 @@ from depbound.sampler import (
     mc_expectation,
 )
 from depbound.transport import (
+    COUPLING_MAPS,
     comonotonic_expectation,
     countermonotonic_expectation,
     independent_expectation,
@@ -155,7 +156,14 @@ class TestValidation:
             mc_expectation(builtin("additive"), E1, E2, "martingale", 1_000, seed=0)
 
     def test_coupling_names_registry(self):
-        assert set(COUPLINGS) == {"comonotonic", "countermonotonic", "independent"}
+        # The table's maps, then independence; the names key the benchmark's probe metrics.
+        assert COUPLINGS == (*COUPLING_MAPS, "independent") == ("comonotonic", "countermonotonic", "independent")
+
+    def test_dependent_draws_read_the_coupling_table(self, monkeypatch):
+        cost = builtin("sinr")
+        monkeypatch.setitem(COUPLING_MAPS, "countermonotonic", lambda u: u)
+        counter = mc_expectation(cost, E1, E2, "countermonotonic", 40_000, seed=5)
+        assert counter == mc_expectation(cost, E1, E2, "comonotonic", 40_000, seed=5)
 
     def test_overflowing_draws_raise(self):
         fat = LogNormal(0.0, 1_000.0)
@@ -232,6 +240,11 @@ class TestCorrelation:
             empirical_correlation(x, y)
         with pytest.raises(ValueError):
             empirical_correlation(y, x)
+
+    def test_huge_variances_whose_product_overflows(self):
+        # Each variance is about 2e202, so vx * vy overflowed and raised.
+        x = np.linspace(0.0, 5.0, 100)
+        assert empirical_correlation(1e100 * x, 1e100 * x) == 1.0
 
     def test_countermonotonic_exponential_pair(self):
         # Corr(X, Y) under the opposed coupling of two unit exponentials

@@ -9,6 +9,7 @@ from depbound.costs import CostFunction, builtin
 from depbound.marginals import Exponential, LogNormal, Nakagami, Rayleigh, Uniform
 from depbound.monge import check_cross_difference
 from depbound.transport import (
+    COUPLING_MAPS,
     BoundsResult,
     ClassificationError,
     QuadratureConfig,
@@ -209,6 +210,21 @@ class TestCouplingExpectations:
         assert res.truncation <= res.error
         assert gap <= 3.0 * res.error
         assert gap <= 1e-6
+
+    def test_the_coupling_table_is_the_only_source(self, monkeypatch):
+        cost = builtin("sinr")
+        monkeypatch.setitem(COUPLING_MAPS, "countermonotonic", lambda u: u)
+        assert countermonotonic_expectation(cost, E1, E2) == comonotonic_expectation(cost, E1, E2)
+
+    @pytest.mark.parametrize("name", sorted(COUPLING_MAPS))
+    def test_coupling_maps_preserve_the_midpoint_grid(self, name):
+        # A measure-preserving map permutes the midpoints u_i = (i - 1/2)/N,
+        # stays strictly inside (0, 1), and leaves its argument untouched.
+        u = (np.arange(1, 1025) - 0.5) / 1024
+        image = np.asarray(COUPLING_MAPS[name](u), dtype=float)
+        assert np.array_equal(u, (np.arange(1, 1025) - 0.5) / 1024)
+        assert np.all((image > 0.0) & (image < 1.0))
+        np.testing.assert_allclose(np.sort(image), u, rtol=0.0, atol=1e-15)
 
     def test_independent_error_covers_its_truncation(self):
         # The nested error is the outer error (outer truncation included)
