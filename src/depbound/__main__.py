@@ -1,5 +1,5 @@
 import sys
 
-from .cli import run
+from .cli import main
 
-sys.exit(run())
+sys.exit(main())

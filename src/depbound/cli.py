@@ -7,16 +7,25 @@ non-convergence, unusable lattice classification, NaN out of a cost).
 Errors go to stderr as a single ``error: ...`` line.  Numbers are
 serialized with 12 significant digits so reruns diff cleanly; the Monte
 Carlo seed defaults to DEFAULT_SEED, overridable by the DEPBOUND_SEED
-environment variable and then by ``--seed``.
+environment variable and then by ``--seed``.  An output file that already
+holds the bytes a command would write is left as it is, apart from its
+modification time.
+
+``main`` is the process entry (``python -m depbound`` and the ``depbound``
+script); ``run`` is the same command without its process-level setup, for
+callers that stay alive after it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import math
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -29,11 +38,14 @@ from .monge import check_cross_difference, check_mixed_partial
 from .sampler import NonFiniteCostError, mc_expectation
 from .transport import ClassificationError, QuadratureError, bounds_sweep, classified_bounds
 
-__all__ = ["run", "DEFAULT_SEED"]
+__all__ = ["main", "run", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 1729
 # Most points a --range or --d grid may hold; the largest shipped grid is 100,000.
 _MAX_POINTS = 1_000_000
+# Bytes compared at a time when checking whether an output file already
+# holds what would be written.
+_COMPARE_BLOCK = 1 << 20
 
 
 class _UsageError(Exception):
@@ -83,11 +95,35 @@ def _write(result, fmt, out_path):
     else:
         text = json.dumps(_round_tree(payload))
     text += "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+    elif not _touch_if_same(out_path, text):
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+
+
+def _touch_if_same(path, text):
+    """If ``path`` is a writable regular file that already holds the bytes
+    ``open(path, "w")`` would write for ``text``, bump its modification
+    time and return True.  Otherwise, or on an OSError, return False.
+
+    Truncating and rewriting a file with the same bytes costs a forced
+    writeback on some filesystems and leaves the file briefly empty."""
+    # open(path, "w") writes ASCII text byte for byte where lines end in "\n".
+    if not text.isascii() or os.linesep != "\n":
+        return False
+    try:
+        st = os.stat(path)
+        if not stat.S_ISREG(st.st_mode) or st.st_size != len(text) or not os.access(path, os.W_OK):
+            return False
+        with open(path, "rb") as fh:
+            for start in range(0, len(text), _COMPARE_BLOCK):
+                if fh.read(_COMPARE_BLOCK) != text[start:start + _COMPARE_BLOCK].encode("ascii"):
+                    return False
+        os.utime(path)
+    except OSError:
+        return False
+    return True
 
 
 def _one_row(record):
@@ -287,6 +323,7 @@ def _cmd_reproduce(args):
     return payload, None
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="depbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -360,6 +397,16 @@ def _call(argv):
     """Parse ``argv`` and run its handler: ``(args, (payload, table))``."""
     args = build_parser().parse_args(argv)
     return args, args.handler(args)
+
+
+def main():
+    """Process entry: run ``sys.argv[1:]`` and return the exit code.
+
+    Everything imported so far lives until the process exits, so it is
+    frozen out of the cyclic garbage collector; its collections, the one
+    at exit included, then skip those objects."""
+    gc.freeze()
+    return run()
 
 
 def run(argv=None):

@@ -376,6 +376,67 @@ class TestReproduce:
         assert example == {key: bounds[key] for key in ("lower", "upper", "independent")}
 
 
+class TestRewrite:
+    """An output file that already holds the bytes to write is left alone."""
+
+    ARGV = ["reproduce", "example1", "--out-dir"]
+
+    @staticmethod
+    def _spy_open(monkeypatch):
+        modes = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        return modes
+
+    def test_identical_rerun_only_bumps_mtime(self, capsys, monkeypatch, tmp_path):
+        first = _ok(capsys, [*self.ARGV, str(tmp_path)])
+        path = tmp_path / "example1.json"
+        data, inode = path.read_bytes(), path.stat().st_ino
+        os.utime(path, (0, 0))
+        modes = self._spy_open(monkeypatch)
+        assert _ok(capsys, [*self.ARGV, str(tmp_path)]) == first
+        assert not any(set(mode) & set("wax+") for mode in modes), modes
+        assert path.read_bytes() == data
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mtime > 0
+
+    @pytest.mark.parametrize("edit, modes", [
+        (lambda data: data.replace(b"0.5", b"0.6", 1), ["rb", "w"]),
+        # A file whose length differs is not read.
+        (lambda data: data + b" ", ["w"]),
+        (lambda data: data[:-2] + b"\n", ["w"]),
+    ], ids=["same-length", "longer", "shorter"])
+    def test_different_file_is_rewritten(self, capsys, monkeypatch, tmp_path, edit, modes):
+        _ok(capsys, [*self.ARGV, str(tmp_path)])
+        path = tmp_path / "example1.json"
+        data = path.read_bytes()
+        stale = edit(data)
+        assert stale != data
+        path.write_bytes(stale)
+        opened = self._spy_open(monkeypatch)
+        _ok(capsys, [*self.ARGV, str(tmp_path)])
+        assert opened == modes
+        assert path.read_bytes() == data
+
+    def test_out_to_a_device(self, capsys):
+        out = _ok(capsys, ["collision", "--p1", "0.9", "--p2", "0.5", "--out", os.devnull])
+        assert out == ""
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root may write a read-only file")
+    def test_identical_read_only_file_still_fails(self, capsys, tmp_path):
+        _ok(capsys, [*self.ARGV, str(tmp_path)])
+        path = tmp_path / "example1.json"
+        path.chmod(0o444)
+        with pytest.raises(PermissionError) as denied:
+            open(path, "w")
+        assert _fail(capsys, [*self.ARGV, str(tmp_path)], 1) == f"error: {denied.value}\n"
+
+
 class TestPinnedStdout:
     """Every benchmark CLI command prints exactly the bytes its hash pins."""
 
@@ -470,6 +531,26 @@ class TestColdStart:
         assert lines[-1] == "False"
         assert set(json.loads(lines[0])) >= {"lower", "upper", "independent"}
 
+    def test_process_entry_freezes_the_imported_heap(self):
+        lines = self._modules_after(
+            "import gc\n"
+            "from depbound import cli\n"
+            "sys.argv = ['depbound', 'collision', '--p1', '0.9', '--p2', '0.5', '--p11', '0.05']\n"
+            "assert cli.main() == 0\n"
+            "print(gc.get_freeze_count() > 0)"
+        )
+        assert lines[1:] == ["True", "False"]
+        assert json.loads(lines[0])["p11"] == 0.05
+
+    def test_run_leaves_the_collector_alone(self):
+        lines = self._modules_after(
+            "import gc\n"
+            "from depbound import cli\n"
+            "assert cli.run(['collision', '--p1', '0.9', '--p2', '0.5', '--p11', '0.05']) == 0\n"
+            "print(gc.get_freeze_count())"
+        )
+        assert lines[1:] == ["0", "False"]
+
     @pytest.mark.parametrize("spec, expected", [
         ("nakagami:2,1.5", 0.9072000374931753),
         ("lognormal:0.5,0.8", 1.0838067257408526),
@@ -509,6 +590,16 @@ class TestSubprocess:
         second = self._invoke(argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_reproduce_reruns_are_byte_identical(self, tmp_path):
+        argv = ["reproduce", "example1", "--out-dir", str(tmp_path)]
+        path = tmp_path / "example1.json"
+        first = self._invoke(argv)
+        data = path.read_bytes()
+        second = self._invoke(argv)
+        assert first.returncode == second.returncode == 0, second.stderr
+        assert first.stdout == second.stdout
+        assert path.read_bytes() == data
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--cost", "product"],
