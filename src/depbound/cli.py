@@ -107,8 +107,8 @@ def _touch_if_same(path, text):
     ``open(path, "w")`` would write for ``text``, bump its modification
     time and return True.  Otherwise, or on an OSError, return False.
 
-    Truncating and rewriting a file with the same bytes costs a forced
-    writeback on some filesystems and leaves the file briefly empty."""
+    A rerun then never leaves an unchanged output briefly empty, as the
+    truncation in ``open(path, "w")`` does."""
     # open(path, "w") writes ASCII text byte for byte where lines end in "\n".
     if not text.isascii() or os.linesep != "\n":
         return False
@@ -323,7 +323,6 @@ def _cmd_reproduce(args):
     return payload, None
 
 
-@functools.cache
 def build_parser():
     parser = _Parser(prog="depbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -393,9 +392,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser ``_call`` uses in this process; ``reproduce`` calls
+    ``_call`` up to four more times."""
+    return build_parser()
+
+
 def _call(argv):
     """Parse ``argv`` and run its handler: ``(args, (payload, table))``."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args, args.handler(args)
 
 

@@ -583,23 +583,17 @@ class TestSubprocess:
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
 
-    def test_quadrature_reruns_are_byte_identical(self):
-        argv = ["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2",
-                "--independent"]
-        first = self._invoke(argv)
-        second = self._invoke(argv)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
-
-    def test_reproduce_reruns_are_byte_identical(self, tmp_path):
-        argv = ["reproduce", "example1", "--out-dir", str(tmp_path)]
+    def test_quadrature_reruns_are_byte_identical(self, tmp_path):
+        # reproduce example1 runs the same bounds and also writes a file.
         path = tmp_path / "example1.json"
-        first = self._invoke(argv)
-        data = path.read_bytes()
-        second = self._invoke(argv)
-        assert first.returncode == second.returncode == 0, second.stderr
-        assert first.stdout == second.stdout
-        assert path.read_bytes() == data
+        for argv in (["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2", "--independent"],
+                     ["reproduce", "example1", "--out-dir", str(tmp_path)]):
+            first = self._invoke(argv)
+            written = path.read_bytes() if path.exists() else None
+            second = self._invoke(argv)
+            assert first.returncode == second.returncode == 0, second.stderr
+            assert first.stdout == second.stdout
+        assert path.read_bytes() == written
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--cost", "product"],
