@@ -27,7 +27,6 @@ from .transport import (
     BoundsResult,
     ClassificationError,
     Expectation,
-    QuadratureConfig,
     QuadratureError,
     bounds,
     bounds_sweep,
@@ -46,7 +45,7 @@ __all__ = [
     "parse_marginal",
     "CostFunction", "builtin", "parse_cost",
     "MongeReport", "check_cross_difference", "check_mixed_partial",
-    "QuadratureConfig", "QuadratureError", "ClassificationError", "Expectation", "BoundsResult",
+    "QuadratureError", "ClassificationError", "Expectation", "BoundsResult",
     "comonotonic_expectation", "countermonotonic_expectation", "independent_expectation",
     "bounds", "bounds_sweep", "classified_bounds", "working_domain",
     "McEstimate", "mc_expectation", "empirical_correlation",

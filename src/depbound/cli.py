@@ -43,6 +43,8 @@ __all__ = ["main", "run", "DEFAULT_SEED"]
 DEFAULT_SEED = 1729
 # Most points a --range or --d grid may hold; the largest shipped grid is 100,000.
 _MAX_POINTS = 1_000_000
+# The short ``mc --coupling`` flags and the sampler's coupling each names.
+_COUPLING_FLAGS = {"co": "comonotonic", "counter": "countermonotonic", "ind": "independent"}
 # Bytes compared at a time when checking whether an output file already
 # holds what would be written.
 _COMPARE_BLOCK = 1 << 20
@@ -227,8 +229,7 @@ def _cmd_mc(args):
     cost = parse_cost(args.cost)
     fx = parse_marginal(args.fx)
     fy = parse_marginal(args.fy)
-    kind = {"co": "comonotonic", "counter": "countermonotonic", "ind": "independent"}[args.coupling]
-    est = mc_expectation(cost, fx, fy, kind, args.n, _resolve_seed(args))
+    est = mc_expectation(cost, fx, fy, _COUPLING_FLAGS[args.coupling], args.n, _resolve_seed(args))
     payload = {"value": est.value, "stderr": est.stderr, "n": est.n, "seed": est.seed}
     return payload, _one_row(payload)
 
@@ -344,7 +345,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("mc", parents=[pair], help="Monte Carlo estimate under a coupling")
-    p.add_argument("--coupling", required=True, choices=("co", "counter", "ind"))
+    p.add_argument("--coupling", required=True, choices=tuple(_COUPLING_FLAGS))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default {DEFAULT_SEED}; DEPBOUND_SEED overrides the default)")

@@ -148,24 +148,20 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
 
     def work(i):
         try:
-            # The error state is per thread: set it as the caller does.
+            # Overflow here is not an anomaly to warn about, it is a checked
+            # failure mode: _check_finite and the moment check below turn it
+            # into a diagnostic.  The error state is per thread.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 _evaluate_part(cost, fx, fy, t, seqs, n, edges[i], edges[i + 1], stats)
         except BaseException as exc:  # re-raised by the calling thread
             errors[i] = exc
 
-    # Overflow here is not an anomaly to warn about, it is a checked
-    # failure mode: _check_finite and the moment check below turn it
-    # into a diagnostic.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
-        for thread in threads:
-            thread.start()
-        try:
-            _evaluate_part(cost, fx, fy, t, seqs, n, 0, edges[1], stats)
-        finally:
-            for thread in threads:
-                thread.join()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
     for exc in errors:
         if exc is not None:
             raise exc

@@ -14,22 +14,23 @@ integrals of the nested pass, or one coupling's integrals for every row
 of a sweep at once.  The 15-point value is kept, the |K15 - G7| gap is
 the panel's error estimate, and a panel is bisected while its gap
 exceeds max(abs_tol, rel_tol * |running total of its own integrand|);
-each row of a sweep has its own subdivision budget.  Endpoints are truncated to [eps, 1 - eps] and the
-discarded tails are reported as an explicit truncation bound
-eps * (|f(eps)| + |f(1 - eps)|) instead of being silently dropped.
+each row of a sweep has its own subdivision budget.  Endpoints are
+truncated to [eps, 1 - eps] and the discarded tails are reported as an
+explicit truncation bound eps * (|f(eps)| + |f(1 - eps)|) instead of
+being silently dropped.  The tolerances, eps and the budget are fixed
+module constants; no caller sets them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .monge import ClassificationError, MongeReport, check_cross_difference
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureError",
     "ClassificationError",
     "Expectation",
@@ -58,23 +59,12 @@ class QuadratureError(Exception):
         self.row = row
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    truncation_eps: float = 1e-9
-    max_subdivisions: int = 100_000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if not 0.0 < self.truncation_eps < 1e-3:
-            raise ValueError(f"truncation eps must be in (0, 1e-3), got {self.truncation_eps!r}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# Panel tolerances, the [eps, 1 - eps] truncation and the subdivision budget per
+# row.  Read at call time, never bound as defaults, so a test can patch them.
+_REL_TOL = 1e-8
+_ABS_TOL = 1e-12
+_EPS = 1e-9
+_MAX_SUBDIVISIONS = 100_000
 
 # The dependent couplings as measure-preserving maps T of (0, 1), Y = qy(T(U)), read by
 # the quadrature and the Monte Carlo oracle.  A map returns a new array or ``u`` itself
@@ -174,7 +164,7 @@ def _panel_estimates(f, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def _gk_worklist(f, lo, hi, cfg, group=None):
+def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None):
     """Integrate ``lo.size`` integrands on one worklist; returns (values, errors).
 
     Integrand ``i`` runs over [lo[i], hi[i]], and ``f(points, which)``
@@ -183,7 +173,7 @@ def _gk_worklist(f, lo, hi, cfg, group=None):
     integral of its own integrand|), the running integral being that
     integrand's accepted value plus its in-flight K15 values.  The rest
     are bisected in place, breadth-first, so ``which`` stays sorted, on
-    one ``max_subdivisions`` budget per ``group`` label (one in all).
+    one ``_MAX_SUBDIVISIONS`` budget per ``group`` label (one in all).
     Running out raises ``QuadratureError`` whose ``row`` is the first
     label over budget.
     """
@@ -197,17 +187,17 @@ def _gk_worklist(f, lo, hi, cfg, group=None):
         which = np.repeat(idx, _GK_NODES.size)
         k15, gap = _panel_estimates(lambda u: f(u, which), lo, hi)
         running = values + np.bincount(idx, k15, minlength=width)
-        done = gap <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(running[idx]))
+        done = gap <= np.maximum(abs_tol, rel_tol * np.abs(running[idx]))
         values += np.bincount(idx[done], k15[done], minlength=width)
         errors += np.bincount(idx[done], gap[done], minlength=width)
         lo, hi, idx = lo[~done], hi[~done], idx[~done]
         if lo.size == 0:
             break
         splits += np.bincount(group[idx], minlength=splits.size)
-        if splits.max() > cfg.max_subdivisions:
+        if splits.max() > _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"no convergence within {cfg.max_subdivisions} subdivisions ({lo.size} panels open)",
-                row=int(np.argmax(splits > cfg.max_subdivisions)),
+                f"no convergence within {_MAX_SUBDIVISIONS} subdivisions ({lo.size} panels open)",
+                row=int(np.argmax(splits > _MAX_SUBDIVISIONS)),
             )
         mid = 0.5 * (lo + hi)
         if np.any((mid <= lo) | (mid >= hi)):
@@ -217,29 +207,28 @@ def _gk_worklist(f, lo, hi, cfg, group=None):
     return values, errors
 
 
-def adaptive_quadrature(f, a, b, config=None):
+def adaptive_quadrature(f, a, b):
     """Integrate vectorized ``f`` over [a, b]; returns (value, error_estimate).
 
     The worklist of ``_gk_worklist`` with one integrand, so the same
     acceptance rule, subdivision budget and underflow check apply.
     """
-    cfg = config or DEFAULT_CONFIG
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise ValueError(f"bad integration interval [{a!r}, {b!r}]")
     if a == b:
         return 0.0, 0.0
-    values, errors = _gk_worklist(lambda u, which: f(u), np.array([a]), np.array([b]), cfg)
+    values, errors = _gk_worklist(lambda u, which: f(u), np.array([a]), np.array([b]), _REL_TOL, _ABS_TOL)
     return float(values[0]), float(errors[0])
 
 
-def _unit_rows(f, n_rows, cfg):
+def _unit_rows(f, n_rows):
     """Integrate ``n_rows`` integrands ``f(u, which)`` over (0, 1), each on its own budget."""
-    eps = cfg.truncation_eps
+    eps = _EPS
     idx = np.arange(n_rows)
     lo = np.full(n_rows, eps)
-    values, errors = _gk_worklist(f, lo, 1.0 - lo, cfg, group=idx)
+    values, errors = _gk_worklist(f, lo, 1.0 - lo, _REL_TOL, _ABS_TOL, group=idx)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         edge = np.abs(np.asarray(f(np.tile([eps, 1.0 - eps], n_rows), np.repeat(idx, 2)), dtype=float))
     if not np.all(np.isfinite(edge)):
@@ -248,9 +237,9 @@ def _unit_rows(f, n_rows, cfg):
     return [Expectation(float(v), float(e + t), float(t)) for v, e, t in zip(values, errors, truncation)]
 
 
-def unit_quadrature(f, config=None):
+def unit_quadrature(f):
     """Integrate ``f`` over (0, 1) with endpoint truncation accounting."""
-    return _unit_rows(lambda u, which: f(u), 1, config or DEFAULT_CONFIG)[0]
+    return _unit_rows(lambda u, which: f(u), 1)[0]
 
 
 def _by_row(costs, rows, x, y):
@@ -263,29 +252,26 @@ def _by_row(costs, rows, x, y):
     return out
 
 
-def _coupled_rows(costs, fx, fy, coupling, config=None):
+def _coupled_rows(costs, fx, fy, coupling):
     """Expectations of ``costs`` under the map ``COUPLING_MAPS[coupling]``."""
     qx, qy, t = fx.quantile, fy.quantile, COUPLING_MAPS[coupling]
-    cfg = config or DEFAULT_CONFIG
-    return _unit_rows(lambda u, which: _by_row(costs, which, qx(u), qy(t(u))), len(costs), cfg)
+    return _unit_rows(lambda u, which: _by_row(costs, which, qx(u), qy(t(u))), len(costs))
 
 
-def comonotonic_expectation(cost, fx, fy, config=None):
+def comonotonic_expectation(cost, fx, fy):
     """E[c(X, Y)] under the maximal-dependence coupling (qx(U), qy(U))."""
-    return _coupled_rows([cost], fx, fy, "comonotonic", config)[0]
+    return _coupled_rows([cost], fx, fy, "comonotonic")[0]
 
 
-def countermonotonic_expectation(cost, fx, fy, config=None):
+def countermonotonic_expectation(cost, fx, fy):
     """E[c(X, Y)] under the minimal-dependence coupling (qx(U), qy(1-U))."""
-    return _coupled_rows([cost], fx, fy, "countermonotonic", config)[0]
+    return _coupled_rows([cost], fx, fy, "countermonotonic")[0]
 
 
-def _independent_rows(costs, fx, fy, config=None):
+def _independent_rows(costs, fx, fy):
     """Independent expectations of ``costs``: one outer and one inner worklist for all."""
-    cfg = config or DEFAULT_CONFIG
-    inner_cfg = replace(cfg, rel_tol=cfg.rel_tol * 1e-2, abs_tol=cfg.abs_tol * 1e-2)
     qx, qy = fx.quantile, fy.quantile
-    eps = cfg.truncation_eps
+    eps = _EPS
     y_edges = qy(np.array([eps, 1.0 - eps]))
     inner_err, inner_trunc = np.zeros((2, len(costs)))
 
@@ -293,7 +279,8 @@ def _independent_rows(costs, fx, fy, config=None):
         x = qx(u)
         lo = np.full(u.size, eps)
         vals, errs = _gk_worklist(
-            lambda v, which: _by_row(costs, rows[which], x[which], qy(v)), lo, 1.0 - lo, inner_cfg, group=rows
+            lambda v, which: _by_row(costs, rows[which], x[which], qy(v)), lo, 1.0 - lo,
+            _REL_TOL * 1e-2, _ABS_TOL * 1e-2, group=rows,
         )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             edge = sum(np.abs(_by_row(costs, rows, x, np.full_like(x, y))) for y in y_edges)
@@ -303,11 +290,11 @@ def _independent_rows(costs, fx, fy, config=None):
         np.maximum.at(inner_trunc, rows, eps * edge)
         return vals
 
-    outers = zip(_unit_rows(outer, len(costs), cfg), inner_err.tolist(), inner_trunc.tolist())
+    outers = zip(_unit_rows(outer, len(costs)), inner_err.tolist(), inner_trunc.tolist())
     return [Expectation(r.value, r.error + err + trunc, r.truncation + trunc) for r, err, trunc in outers]
 
 
-def independent_expectation(cost, fx, fy, config=None):
+def independent_expectation(cost, fx, fy):
     """E[c(X, Y)] for independent X, Y by nested adaptive quadrature.
 
     Outer axis in u (through qx), inner in v (through qy): every outer
@@ -316,7 +303,7 @@ def independent_expectation(cost, fx, fy, config=None):
     sits below the outer acceptance threshold; otherwise the outer
     worklist chases noise it can never integrate away.
     """
-    return _independent_rows([cost], fx, fy, config)[0]
+    return _independent_rows([cost], fx, fy)[0]
 
 
 def _bounds_rows(costs, reports, include_independent, co, counter, independent):
@@ -360,7 +347,7 @@ def _bounds_rows(costs, reports, include_independent, co, counter, independent):
     return results
 
 
-def bounds(cost, fx, fy, report, config=None, include_independent=False):
+def bounds(cost, fx, fy, report, include_independent=False):
     """Assemble the sharp dependence bounds for a classified cost.
 
     ``report`` must come from one of the lattice checks and classify the
@@ -373,7 +360,7 @@ def bounds(cost, fx, fy, report, config=None, include_independent=False):
         raise TypeError("bounds needs a MongeReport from the lattice checks")
 
     def one(expectation):
-        return lambda costs: [expectation(costs[0], fx, fy, config)]
+        return lambda costs: [expectation(costs[0], fx, fy)]
 
     return _bounds_rows(
         [cost], [report], include_independent,
@@ -404,7 +391,7 @@ def working_domain(fx, fy):
     return box
 
 
-def classified_bounds(cost, fx, fy, config=None, include_independent=False):
+def classified_bounds(cost, fx, fy, include_independent=False):
     """Classify ``cost`` on the marginals' working box, then bound it.
 
     The report comes from cross-differences on a 64 x 64 grid over
@@ -412,10 +399,10 @@ def classified_bounds(cost, fx, fy, config=None, include_independent=False):
     ``ClassificationError`` exactly as ``bounds`` does.
     """
     report = check_cross_difference(cost, working_domain(fx, fy), n=64)
-    return bounds(cost, fx, fy, report, config, include_independent=include_independent)
+    return bounds(cost, fx, fy, report, include_independent=include_independent)
 
 
-def bounds_sweep(cost_factory, params, fx, fy, config=None, include_independent=True):
+def bounds_sweep(cost_factory, params, fx, fy, include_independent=True):
     """One ``classified_bounds`` result per parameter value, integrated together.
 
     ``cost_factory(p)`` builds the cost for parameter ``p``; a
@@ -433,9 +420,9 @@ def bounds_sweep(cost_factory, params, fx, fy, config=None, include_independent=
     try:
         results = _bounds_rows(
             costs, reports, include_independent,
-            lambda cs: _coupled_rows(cs, fx, fy, "comonotonic", config),
-            lambda cs: _coupled_rows(cs, fx, fy, "countermonotonic", config),
-            lambda cs: _independent_rows(cs, fx, fy, config),
+            lambda cs: _coupled_rows(cs, fx, fy, "comonotonic"),
+            lambda cs: _coupled_rows(cs, fx, fy, "countermonotonic"),
+            lambda cs: _independent_rows(cs, fx, fy),
         )
     except QuadratureError as exc:
         if exc.row is None:

@@ -39,7 +39,6 @@ class TwoRayGeometry:
     h_tx: float
     h1: float
     dh: float
-    propagation_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         for field in fields(self):
@@ -53,8 +52,6 @@ class TwoRayGeometry:
             raise ValueError("antenna heights must be positive")
         if not self.h1 + self.dh > 0.0:
             raise ValueError(f"upper antenna height h1+dh must be positive, got {self.h1 + self.dh!r}")
-        if not self.propagation_speed > 0.0:
-            raise ValueError("propagation speed must be positive")
 
     def antenna_height(self, antenna):
         if antenna not in (1, 2):
@@ -92,7 +89,7 @@ def envelope(geom, d, antenna):
     """Squared envelope X_antenna(d) = a1^2 + a2^2 + 2 a1 a2 cos(omega dtau)."""
     s_los, s_nlos = path_lengths(geom, d, antenna)
     omega = 2.0 * math.pi * geom.f
-    dtau = (np.asarray(s_los) - np.asarray(s_nlos)) / geom.propagation_speed
+    dtau = (np.asarray(s_los) - np.asarray(s_nlos)) / SPEED_OF_LIGHT
     x = geom.a1**2 + geom.a2**2 + 2.0 * geom.a1 * geom.a2 * np.cos(omega * dtau)
     return float(x) if np.ndim(d) == 0 else x
 

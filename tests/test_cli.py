@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from depbound import cli
+from depbound import cli, sampler
 from depbound.cli import DEFAULT_SEED, run
 
 
@@ -194,6 +194,10 @@ class TestMc:
                              "--fy", "lognormal:0,1000", "--coupling", "co",
                              "--n", "1000", "--seed", "1"], 2)
         assert "overflow" in err
+
+    def test_every_sampler_coupling_has_a_flag(self):
+        # A coupling added to the sampler fails here until --coupling can select it.
+        assert tuple(cli._COUPLING_FLAGS.values()) == sampler.COUPLINGS
 
 
 class TestMonge:

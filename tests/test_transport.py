@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from depbound import transport
 from depbound.costs import CostFunction, builtin
 from depbound.marginals import Exponential, LogNormal, Nakagami, Rayleigh, Uniform
 from depbound.monge import check_cross_difference
@@ -12,7 +13,6 @@ from depbound.transport import (
     COUPLING_MAPS,
     BoundsResult,
     ClassificationError,
-    QuadratureConfig,
     QuadratureError,
     _gk_worklist,
     adaptive_quadrature,
@@ -72,26 +72,28 @@ class TestEngine:
         with pytest.raises(QuadratureError):
             adaptive_quadrature(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
 
-    def test_subdivision_budget_raises(self):
-        cfg = QuadratureConfig(max_subdivisions=4)
+    def test_subdivision_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_SUBDIVISIONS", 4)
         with pytest.raises(QuadratureError, match="subdivisions"):
-            adaptive_quadrature(lambda x: np.sign(x - 1 / math.pi) * np.exp(x), 0.0, 1.0, cfg)
+            adaptive_quadrature(lambda x: np.sign(x - 1 / math.pi) * np.exp(x), 0.0, 1.0)
 
     @pytest.mark.parametrize("engine", ["adaptive", "batch"])
-    def test_panel_width_underflow_raises(self, engine):
+    def test_panel_width_underflow_raises(self, engine, monkeypatch):
         # A jump at u = 1/2 onto a 1/sqrt spike: the panel that starts at
         # 1/2 never meets these tolerances, so bisection runs it down to
         # one ulp, where its midpoint rounds onto an endpoint.
         def f(v):
             return np.where(v < 0.5, 0.0, 1.0 / np.sqrt(np.maximum(v - 0.5, 0.0) + 2.0**-54))
 
-        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
+        monkeypatch.setattr(transport, "_REL_TOL", 1e-12)
+        monkeypatch.setattr(transport, "_ABS_TOL", 1e-14)
+        eps = transport._EPS
         with pytest.raises(QuadratureError, match=r"underflow near u=0\.5"):
             if engine == "adaptive":
-                adaptive_quadrature(f, cfg.truncation_eps, 1.0 - cfg.truncation_eps, cfg)
+                adaptive_quadrature(f, eps, 1.0 - eps)
             else:
-                lo = np.full(2, cfg.truncation_eps)
-                _gk_worklist(lambda v, which: f(v) * (which + 1), lo, 1.0 - lo, cfg)
+                lo = np.full(2, eps)
+                _gk_worklist(lambda v, which: f(v) * (which + 1), lo, 1.0 - lo, 1e-12, 1e-14)
 
     def test_batch_row_integrates_as_alone(self):
         # Each half of the 1000-scaled sign flip integrates to about
@@ -103,15 +105,14 @@ class TestEngine:
         def f(v, k):
             return (k + 1) * (1000.0 * np.sign(v - 0.5) * v * (1.0 - v) + v**1.5)
 
-        cfg = QuadratureConfig()
-        lo = np.full(2, cfg.truncation_eps)
+        lo = np.full(2, transport._EPS)
         batch_points = np.zeros(2, dtype=int)
 
         def rows(v, which):
             batch_points[:] += np.bincount(which, minlength=2)
             return f(v, which)
 
-        values, _ = _gk_worklist(rows, lo, 1.0 - lo, cfg)
+        values, _ = _gk_worklist(rows, lo, 1.0 - lo, transport._REL_TOL, transport._ABS_TOL)
         for k in range(2):
             alone_points = []
 
@@ -119,7 +120,7 @@ class TestEngine:
                 alone_points.append(v.size)
                 return f(v, k)
 
-            value, _ = adaptive_quadrature(g, lo[k], 1.0 - lo[k], cfg)
+            value, _ = adaptive_quadrature(g, lo[k], 1.0 - lo[k])
             assert batch_points[k] == sum(alone_points)
             assert values[k] == pytest.approx(value, rel=1e-12)
 
@@ -129,18 +130,6 @@ class TestEngine:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(np.exp, 1.0, 0.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(truncation_eps=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(truncation_eps=0.01)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
 
 
 class TestCouplingExpectations:
@@ -185,9 +174,13 @@ class TestCouplingExpectations:
             b = countermonotonic_expectation(swapped, Rayleigh(1.0), E1).value
             assert a == pytest.approx(b, abs=1e-9)
 
-    def test_truncation_consistency(self):
+    def test_truncation_consistency(self, monkeypatch):
         # Halving eps must move each value by less than the reported bound.
-        half = QuadratureConfig(truncation_eps=0.5e-9)
+        def halved(compute, *args):
+            with monkeypatch.context() as m:
+                m.setattr(transport, "_EPS", 0.5e-9)
+                return compute(*args)
+
         for cost, fx, fy in [
             (builtin("sinr"), E1, E2),
             (builtin("additive"), E1, E2),
@@ -195,10 +188,10 @@ class TestCouplingExpectations:
         ]:
             for compute in (comonotonic_expectation, countermonotonic_expectation):
                 base = compute(cost, fx, fy)
-                moved = compute(cost, fx, fy, half)
+                moved = halved(compute, cost, fx, fy)
                 assert abs(moved.value - base.value) < max(base.truncation, 1e-13)
         base = independent_expectation(builtin("sinr"), E1, E2)
-        moved = independent_expectation(builtin("sinr"), E1, E2, half)
+        moved = halved(independent_expectation, builtin("sinr"), E1, E2)
         assert abs(moved.value - base.value) < max(base.truncation, 1e-13)
 
     def test_error_fields_track_known_gap(self):
@@ -356,20 +349,21 @@ class TestSweep:
         with pytest.raises(ClassificationError, match="neither"):
             bounds_sweep(factory, [0.0, 1.0, 2.0, 3.0], E1, E1)
 
-    def test_subdivision_budget_is_per_row(self):
+    def test_subdivision_budget_is_per_row(self, monkeypatch):
         # Each row fits the budget alone but needs more than half of it,
         # so the three rows together need more than one budget holds.
-        cfg = QuadratureConfig(max_subdivisions=700)
-        half = QuadratureConfig(max_subdivisions=350)
+        monkeypatch.setattr(transport, "_MAX_SUBDIVISIONS", 700)
         def factory(s):
             return builtin("additive") if s == 0 else builtin("mac_rate1", s=s)
 
         params = [0.1, 1.0, 10.0]
-        alone = [classified_bounds(factory(s), E1, E1, cfg, include_independent=True) for s in params]
-        for s in params:
-            with pytest.raises(QuadratureError, match="subdivisions"):
-                classified_bounds(factory(s), E1, E1, half, include_independent=True)
-        rows = bounds_sweep(factory, params, E1, E1, cfg)
+        alone = [classified_bounds(factory(s), E1, E1, include_independent=True) for s in params]
+        with monkeypatch.context() as half:
+            half.setattr(transport, "_MAX_SUBDIVISIONS", 350)
+            for s in params:
+                with pytest.raises(QuadratureError, match="subdivisions"):
+                    classified_bounds(factory(s), E1, E1, include_independent=True)
+        rows = bounds_sweep(factory, params, E1, E1)
         for row, res in zip(rows, alone):
             assert row.result.independent == pytest.approx(res.independent, rel=1e-12)
         # A row that cannot converge alone still fails inside the sweep, and
@@ -377,6 +371,6 @@ class TestSweep:
         # comonotonic worklist, so the failing independent worklist
         # numbers its rows differently from ``params``.
         with pytest.raises(QuadratureError, match=r"subdivisions \(\d+ panels open\)$"):
-            classified_bounds(factory(0.01), E1, E1, cfg, include_independent=True)
+            classified_bounds(factory(0.01), E1, E1, include_independent=True)
         with pytest.raises(QuadratureError, match=r"subdivisions .* in the row for parameter 0\.01$"):
-            bounds_sweep(factory, [0.0] + params + [0.01], E1, E1, cfg)
+            bounds_sweep(factory, [0.0] + params + [0.01], E1, E1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from depbound.tworay import (
-    SPEED_OF_LIGHT,
     TwoRayGeometry,
     envelope,
     envelope_correlation,
@@ -75,12 +74,6 @@ class TestEnvelope:
         assert envelope(geom, 33.0, antenna=2) == pytest.approx(float(xs[1]), rel=1e-15)
         assert isinstance(envelope(geom, 33.0, antenna=2), float)
 
-    def test_slower_medium_shifts_fringes(self):
-        fast = _mast(dh=0.05)
-        slow = TwoRayGeometry(a1=1.0, a2=0.5, f=2.0e9, h_tx=10.0, h1=1.0, dh=0.05,
-                              propagation_speed=SPEED_OF_LIGHT / 1.5)
-        assert envelope(slow, 30.0, 1) != pytest.approx(envelope(fast, 30.0, 1))
-
 
 class TestCorrelation:
     def test_close_spacing_couples_positively(self):
@@ -125,7 +118,7 @@ class TestValidation:
         # Infinite or NaN fields passed the sign checks and gave NaN envelopes.
         inf, nan = math.inf, math.nan
         for bad in ({"f": inf}, {"a1": inf}, {"a2": inf}, {"h_tx": inf}, {"h1": inf}, {"dh": inf},
-                    {"dh": nan}, {"propagation_speed": inf}):
+                    {"dh": nan}):
             with pytest.raises(ValueError, match="finite"):
                 TwoRayGeometry(**{"a1": 1.0, "a2": 0.5, "f": 2e9, "h_tx": 10.0, "h1": 1.0, "dh": 0.05, **bad})
 
