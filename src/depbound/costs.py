@@ -24,10 +24,10 @@ class CostFunction:
     """A named c(x, y) with optional analytic mixed partial.
 
     ``fn`` and ``mixed_partial`` must accept scalars or broadcastable
-    arrays of nonnegative floats.  Call the instance directly; the call
-    validates the domain once, delegates, and broadcasts a result that
-    ignores an argument (a constant, or f(y) alone) to the arguments'
-    broadcast shape.
+    arrays of nonnegative floats, and take ``params`` as keyword
+    arguments.  Call the instance directly; the call validates the domain
+    once, delegates, and broadcasts a result that ignores an argument (a
+    constant, or f(y) alone) to the arguments' broadcast shape.
     """
 
     name: str
@@ -37,14 +37,14 @@ class CostFunction:
 
     def __call__(self, x, y):
         _check_domain(self.name, x, y)
-        return _broadcast(self.fn(x, y), x, y)
+        return _broadcast(self.fn(x, y, **self.params), x, y)
 
     def cross_partial(self, x, y):
         """Analytic d2c/dxdy.  Raises if this cost does not define one."""
         if self.mixed_partial is None:
             raise ValueError(f"cost {self.name!r} has no analytic mixed partial")
         _check_domain(self.name, x, y)
-        return _broadcast(self.mixed_partial(x, y), x, y)
+        return _broadcast(self.mixed_partial(x, y, **self.params), x, y)
 
     def __repr__(self):
         if self.params:
@@ -80,6 +80,16 @@ def _make_sinr():
     )
 
 
+def _mac_rate1(x, y, s):
+    # log2(1 + x/(s+y)) written as a log difference; log1p(x/(s+y))
+    # loses nothing here and avoids a huge intermediate for tiny s.
+    return np.log1p(x / (s + y)) / _LN2
+
+
+def _mac_rate1_partial(x, y, s):
+    return -1.0 / ((s + x + y) ** 2 * _LN2)
+
+
 def _make_mac_rate1(s=None, snr_db=None):
     """Rate of user 1 in a two-user multiple-access channel.
 
@@ -95,15 +105,7 @@ def _make_mac_rate1(s=None, snr_db=None):
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError(f"mac_rate1: s must be positive, got {s!r}")
 
-    def fn(x, y):
-        # log2(1 + x/(s+y)) written as a log difference; log1p(x/(s+y))
-        # loses nothing here and avoids a huge intermediate for tiny s.
-        return np.log1p(x / (s + y)) / _LN2
-
-    def mp(x, y):
-        return -1.0 / ((s + x + y) ** 2 * _LN2)
-
-    return CostFunction(name="mac_rate1", fn=fn, mixed_partial=mp, params={"s": s})
+    return CostFunction(name="mac_rate1", fn=_mac_rate1, mixed_partial=_mac_rate1_partial, params={"s": s})
 
 
 def _make_sum_rate():

@@ -11,7 +11,9 @@ couplings on (0, 1), plus a nested pass for the independent baseline.
 The quadrature engine is an adaptive Gauss-Kronrod 7/15 pair on one
 worklist of panels, which carries a single integral, all the inner
 integrals of the nested pass, or one coupling's integrals for every row
-of a sweep at once.  The 15-point value is kept, the |K15 - G7| gap is
+of a sweep at once.  Integrands are evaluated per panel: a pass hands
+them its panels' (P, 15) nodes, and a sweep of one builtin costs one
+cost call per pass.  The 15-point value is kept, the |K15 - G7| gap is
 the panel's error estimate, and a panel is bisected while its gap
 exceeds max(abs_tol, rel_tol * |running total of its own integrand|);
 each row of a sweep has its own subdivision budget.  Endpoints are
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import CostFunction
 from .monge import ClassificationError, MongeReport, check_cross_difference
 
 __all__ = [
@@ -149,13 +152,13 @@ _GK_WEIGHTS_7 = np.array([
 ])
 
 
-def _panel_estimates(f, lo, hi):
-    """K15 values and |K15 - G7| gaps for a batch of panels."""
+def _panel_estimates(f, lo, hi, idx):
+    """K15 values and |K15 - G7| gaps for a batch of panels of integrands ``idx``."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     points = mid[:, None] + half[:, None] * _GK_NODES
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.asarray(f(points.ravel()), dtype=float).reshape(points.shape)
+        values = np.asarray(f(points, idx[:, None]), dtype=float).reshape(points.shape)
     if not np.all(np.isfinite(values)):
         bad = points.ravel()[np.flatnonzero(~np.isfinite(values.ravel()))[0]]
         raise QuadratureError(f"integrand returned a non-finite value at u={float(bad)!r}")
@@ -167,8 +170,10 @@ def _panel_estimates(f, lo, hi):
 def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None):
     """Integrate ``lo.size`` integrands on one worklist; returns (values, errors).
 
-    Integrand ``i`` runs over [lo[i], hi[i]], and ``f(points, which)``
-    evaluates integrand ``which[k]`` at ``points[k]``.  A panel is
+    Integrand ``i`` runs over [lo[i], hi[i]].  ``f(points, which)`` gets
+    one pass's panels at once: ``points`` is (P, 15), the nodes of a
+    panel per row, and ``which`` the (P, 1) column of their integrands,
+    so per-integrand data broadcasts over the nodes.  A panel is
     accepted once its gap is at most max(abs_tol, rel_tol * |running
     integral of its own integrand|), the running integral being that
     integrand's accepted value plus its in-flight K15 values.  The rest
@@ -184,8 +189,7 @@ def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None):
     values = np.zeros(width)
     errors = np.zeros(width)
     while lo.size:
-        which = np.repeat(idx, _GK_NODES.size)
-        k15, gap = _panel_estimates(lambda u: f(u, which), lo, hi)
+        k15, gap = _panel_estimates(f, lo, hi, idx)
         running = values + np.bincount(idx, k15, minlength=width)
         done = gap <= np.maximum(abs_tol, rel_tol * np.abs(running[idx]))
         values += np.bincount(idx[done], k15[done], minlength=width)
@@ -219,7 +223,9 @@ def adaptive_quadrature(f, a, b):
         raise ValueError(f"bad integration interval [{a!r}, {b!r}]")
     if a == b:
         return 0.0, 0.0
-    values, errors = _gk_worklist(lambda u, which: f(u), np.array([a]), np.array([b]), _REL_TOL, _ABS_TOL)
+    values, errors = _gk_worklist(
+        lambda u, which: f(u.ravel()), np.array([a]), np.array([b]), _REL_TOL, _ABS_TOL
+    )
     return float(values[0]), float(errors[0])
 
 
@@ -229,26 +235,42 @@ def _unit_rows(f, n_rows):
     idx = np.arange(n_rows)
     lo = np.full(n_rows, eps)
     values, errors = _gk_worklist(f, lo, 1.0 - lo, _REL_TOL, _ABS_TOL, group=idx)
+    ends = np.tile([eps, 1.0 - eps], (n_rows, 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        edge = np.abs(np.asarray(f(np.tile([eps, 1.0 - eps], n_rows), np.repeat(idx, 2)), dtype=float))
+        edge = np.abs(np.asarray(f(ends, idx[:, None]), dtype=float)).reshape(ends.shape)
     if not np.all(np.isfinite(edge)):
         raise QuadratureError(f"integrand is non-finite at a truncation edge (eps={eps!r})")
-    truncation = eps * (edge[0::2] + edge[1::2])
+    truncation = eps * (edge[:, 0] + edge[:, 1])
     return [Expectation(float(v), float(e + t), float(t)) for v, e, t in zip(values, errors, truncation)]
 
 
 def unit_quadrature(f):
     """Integrate ``f`` over (0, 1) with endpoint truncation accounting."""
-    return _unit_rows(lambda u, which: f(u), 1)[0]
+    return _unit_rows(lambda u, which: f(u.ravel()), 1)[0]
 
 
 def _by_row(costs, rows, x, y):
-    """``costs[k](x, y)`` on the points of row k; ``rows`` is sorted."""
-    out = np.empty(x.shape)
-    cuts = rows.searchsorted(np.arange(len(costs) + 1)).tolist()
-    for cost, a, b in zip(costs, cuts, cuts[1:]):
-        if b > a:
+    """``costs[k](x, y)`` where ``rows`` is k; ``rows`` is sorted, 1-D or a (P, 1) column.
+
+    A run of consecutive costs that share one ``fn`` and parameter names (a
+    sweep of one builtin) is one ``CostFunction`` call, each parameter a
+    per-panel column; a run of one cost is called as it is.
+    """
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    cuts = rows.ravel().searchsorted(np.arange(len(costs) + 1)).tolist()
+    keys = [(getattr(c, "fn", None), tuple(getattr(c, "params", ()))) for c in costs]
+    start = 0
+    for k, cost in enumerate(costs, 1):
+        if k < len(costs) and keys[k][0] is not None and keys[k] == keys[k - 1]:
+            continue
+        a, b = cuts[start], cuts[k]
+        if b > a and k - start == 1:
             out[a:b] = cost(x[a:b], y[a:b])
+        elif b > a:
+            column = rows[a:b] - start
+            params = {key: np.array([c.params[key] for c in costs[start:k]])[column] for key in cost.params}
+            out[a:b] = CostFunction(cost.name, cost.fn, params=params)(x[a:b], y[a:b])
+        start = k
     return out
 
 
@@ -275,11 +297,13 @@ def _independent_rows(costs, fx, fy):
     y_edges = qy(np.array([eps, 1.0 - eps]))
     inner_err, inner_trunc = np.zeros((2, len(costs)))
 
-    def outer(u, rows):
-        x = qx(u)
+    def outer(u, which):
+        # One inner integrand per outer node; ``x[inner]`` is a (P, 1) column.
+        x = qx(u).ravel()
+        rows = np.broadcast_to(which, u.shape).ravel()
         lo = np.full(u.size, eps)
         vals, errs = _gk_worklist(
-            lambda v, which: _by_row(costs, rows[which], x[which], qy(v)), lo, 1.0 - lo,
+            lambda v, inner: _by_row(costs, rows[inner], x[inner], qy(v)), lo, 1.0 - lo,
             _REL_TOL * 1e-2, _ABS_TOL * 1e-2, group=rows,
         )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -288,7 +312,7 @@ def _independent_rows(costs, fx, fy):
             raise QuadratureError(f"integrand is non-finite at an inner truncation edge (eps={eps!r})")
         np.maximum.at(inner_err, rows, errs)
         np.maximum.at(inner_trunc, rows, eps * edge)
-        return vals
+        return vals.reshape(u.shape)
 
     outers = zip(_unit_rows(outer, len(costs)), inner_err.tolist(), inner_trunc.tolist())
     return [Expectation(r.value, r.error + err + trunc, r.truncation + trunc) for r, err, trunc in outers]

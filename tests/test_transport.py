@@ -109,7 +109,7 @@ class TestEngine:
         batch_points = np.zeros(2, dtype=int)
 
         def rows(v, which):
-            batch_points[:] += np.bincount(which, minlength=2)
+            batch_points[:] += np.bincount(which.ravel(), minlength=2) * v.shape[1]
             return f(v, which)
 
         values, _ = _gk_worklist(rows, lo, 1.0 - lo, transport._REL_TOL, transport._ABS_TOL)
@@ -123,6 +123,18 @@ class TestEngine:
             value, _ = adaptive_quadrature(g, lo[k], 1.0 - lo[k])
             assert batch_points[k] == sum(alone_points)
             assert values[k] == pytest.approx(value, rel=1e-12)
+
+    def test_public_integrands_get_flat_points(self):
+        # The engine hands its own integrands (P, 15) panels; a user's f still sees 1-D points.
+        shapes = []
+
+        def f(u):
+            shapes.append(u.shape)
+            return np.log(u)
+
+        adaptive_quadrature(f, 0.1, 1.0)
+        unit_quadrature(f)
+        assert shapes and all(len(shape) == 1 for shape in shapes)
 
     def test_empty_interval(self):
         assert adaptive_quadrature(np.exp, 1.0, 1.0) == (0.0, 0.0)
@@ -374,3 +386,40 @@ class TestSweep:
             classified_bounds(factory(0.01), E1, E1, include_independent=True)
         with pytest.raises(QuadratureError, match=r"subdivisions .* in the row for parameter 0\.01$"):
             bounds_sweep(factory, [0.0] + params + [0.01], E1, E1)
+
+    def test_sweep_of_one_builtin_calls_its_cost_once_per_pass(self, monkeypatch):
+        # 26 rows sharing one function: each worklist pass evaluates all of
+        # its open rows with one call and a per-panel column of s, not one
+        # call per row.  Outer passes of the nested integral hold the inner
+        # worklists' passes and are not counted themselves.
+        calls = []
+        call = CostFunction.__call__
+
+        def counted(cost, x, y):
+            calls.append(cost)
+            return call(cost, x, y)
+
+        per_pass = []
+        estimates = transport._panel_estimates
+
+        def counting_estimates(*args):
+            before, nested = len(calls), len(per_pass)
+            result = estimates(*args)
+            if len(per_pass) == nested:
+                per_pass.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(CostFunction, "__call__", counted)
+        monkeypatch.setattr(transport, "_panel_estimates", counting_estimates)
+        rows = bounds_sweep(lambda p: builtin("mac_rate1", snr_db=p), np.arange(-5.0, 21.0), E1, E1)
+        assert len(rows) == 26
+        assert len(per_pass) > 400
+        assert set(per_pass) == {1}
+
+    def test_mac_rate1_takes_a_parameter_column(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.exponential(size=(2, 4, 15))
+        s = np.array([[0.01], [0.5], [1.0], [30.0]])
+        column = CostFunction("mac_rate1", builtin("mac_rate1", s=1.0).fn, params={"s": s})(x, y)
+        for k in range(4):
+            assert (column[k] == builtin("mac_rate1", s=float(s[k, 0]))(x[k], y[k])).all()
