@@ -7,49 +7,41 @@ adaptive quadrature, validates them by seeded Monte Carlo, and covers
 the worked communication scenarios (fading envelopes, multiple-access
 rates, collision channels) that motivate treating dependence as the
 free parameter.
+
+``import depbound`` loads no submodule and no numpy: a public name or a
+submodule imports its module when first read (PEP 562), so a command
+pays only for the modules it runs.
 """
 
-from .collision import CollisionResult, CollisionSpec, analyze
-from .costs import CostFunction, builtin, parse_cost
-from .marginals import (
-    Exponential,
-    LogNormal,
-    Marginal,
-    Nakagami,
-    Rayleigh,
-    Rician,
-    Uniform,
-    parse_marginal,
-)
-from .monge import MongeReport, check_cross_difference, check_mixed_partial
-from .sampler import McEstimate, empirical_correlation, mc_expectation
-from .transport import (
-    BoundsResult,
-    ClassificationError,
-    Expectation,
-    QuadratureError,
-    bounds,
-    bounds_sweep,
-    classified_bounds,
-    comonotonic_expectation,
-    countermonotonic_expectation,
-    independent_expectation,
-    working_domain,
-)
-from .tworay import TwoRayGeometry, envelope, envelope_correlation, envelope_trace, path_lengths
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Marginal", "Exponential", "Uniform", "Rayleigh", "Nakagami", "LogNormal", "Rician",
-    "parse_marginal",
-    "CostFunction", "builtin", "parse_cost",
-    "MongeReport", "check_cross_difference", "check_mixed_partial",
-    "QuadratureError", "ClassificationError", "Expectation", "BoundsResult",
-    "comonotonic_expectation", "countermonotonic_expectation", "independent_expectation",
-    "bounds", "bounds_sweep", "classified_bounds", "working_domain",
-    "McEstimate", "mc_expectation", "empirical_correlation",
-    "CollisionSpec", "CollisionResult", "analyze",
-    "TwoRayGeometry", "path_lengths", "envelope", "envelope_trace", "envelope_correlation",
-    "__version__",
-]
+# Each public name by the submodule that defines it.
+_HOME = {name: module for module, names in (
+    ("marginals", "Marginal Exponential Uniform Rayleigh Nakagami LogNormal Rician parse_marginal"),
+    ("costs", "CostFunction builtin parse_cost"),
+    ("monge", "MongeReport check_cross_difference check_mixed_partial"),
+    ("transport", "QuadratureError ClassificationError Expectation BoundsResult comonotonic_expectation "
+                  "countermonotonic_expectation independent_expectation bounds bounds_sweep classified_bounds "
+                  "working_domain"),
+    ("sampler", "McEstimate mc_expectation"),
+    ("collision", "CollisionSpec CollisionResult analyze"),
+    ("tworay", "TwoRayGeometry path_lengths envelope envelope_trace envelope_correlation empirical_correlation"),
+) for name in names.split()}
+_SUBMODULES = ("cli", "collision", "costs", "errors", "marginals", "monge", "sampler", "transport", "tworay")
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

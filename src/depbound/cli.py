@@ -14,6 +14,10 @@ modification time.
 ``main`` is the process entry (``python -m depbound`` and the ``depbound``
 script); ``run`` is the same command without its process-level setup, for
 callers that stay alive after it returns.
+
+Each handler imports the modules it runs when it runs, so ``collision``
+starts without numpy and ``tworay`` without the quadrature; ``run`` maps
+every ``NumericalError`` to exit 2 without importing what raises one.
 """
 
 from __future__ import annotations
@@ -28,15 +32,7 @@ import re
 import stat
 import sys
 
-import numpy as np
-
-from . import collision as collision_mod
-from . import tworay as tworay_mod
-from .costs import builtin, parse_cost
-from .marginals import parse_marginal
-from .monge import check_cross_difference, check_mixed_partial
-from .sampler import NonFiniteCostError, mc_expectation
-from .transport import ClassificationError, QuadratureError, bounds_sweep, classified_bounds
+from .errors import NumericalError
 
 __all__ = ["main", "run", "DEFAULT_SEED"]
 
@@ -173,6 +169,23 @@ def _resolve_seed(args):
     return DEFAULT_SEED
 
 
+# The spec parsers the handlers call, module attributes that a caller may
+# swap; each imports its module on first use.
+def parse_marginal(text):
+    from .marginals import parse_marginal as parse
+    return parse(text)
+
+
+def parse_cost(text):
+    from .costs import parse_cost as parse
+    return parse(text)
+
+
+def builtin(name, **params):
+    from .costs import builtin as build
+    return build(name, **params)
+
+
 def _add_output_flags(p, default_format="json"):
     group = p.add_mutually_exclusive_group()
     group.add_argument("--format", choices=("json", "csv"), default=default_format)
@@ -182,6 +195,7 @@ def _add_output_flags(p, default_format="json"):
 
 
 def _cmd_bounds(args):
+    from .transport import classified_bounds
     cost = parse_cost(args.cost)
     fx = parse_marginal(args.fx)
     fy = parse_marginal(args.fy)
@@ -202,6 +216,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_sweep(args):
+    from .transport import bounds_sweep
     fx = parse_marginal(args.fx)
     fy = parse_marginal(args.fy)
     values = _parse_range(args.range)
@@ -226,6 +241,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_mc(args):
+    from .sampler import mc_expectation
     cost = parse_cost(args.cost)
     fx = parse_marginal(args.fx)
     fy = parse_marginal(args.fy)
@@ -235,6 +251,7 @@ def _cmd_mc(args):
 
 
 def _cmd_monge(args):
+    from .monge import check_cross_difference, check_mixed_partial
     cost = parse_cost(args.cost)
     try:
         domain = tuple(float(v) for v in args.domain.split(","))
@@ -252,8 +269,9 @@ def _cmd_monge(args):
 
 
 def _cmd_collision(args):
-    spec = collision_mod.CollisionSpec(args.p1, args.p2)
-    result = collision_mod.analyze(spec)
+    from . import collision
+    spec = collision.CollisionSpec(args.p1, args.p2)
+    result = collision.analyze(spec)
     payload = {
         "u_independent": result.u_independent,
         "p11_range": list(result.p11_range),
@@ -262,28 +280,31 @@ def _cmd_collision(args):
     }
     if args.p11 is not None:
         payload["p11"] = args.p11
-        payload["u"] = collision_mod.success_from_p11(spec, args.p11)
-        payload["rho"] = None if spec.degenerate() else collision_mod.rho_from_p11(spec, args.p11)
+        payload["u"] = collision.success_from_p11(spec, args.p11)
+        payload["rho"] = None if spec.degenerate() else collision.rho_from_p11(spec, args.p11)
     return payload, None
 
 
 def _geometry_from(args):
-    return tworay_mod.TwoRayGeometry(
-        a1=args.a1, a2=args.a2, f=args.f, h_tx=args.htx, h1=args.h1, dh=args.dh
-    )
+    from .tworay import TwoRayGeometry
+    return TwoRayGeometry(a1=args.a1, a2=args.a2, f=args.f, h_tx=args.htx, h1=args.h1, dh=args.dh)
 
 
 def _cmd_tworay_trace(args):
+    import numpy as np
+
+    from .tworay import envelope_trace
     geom = _geometry_from(args)
     lo, hi, n = _parse_range(args.d, count_means_grid=True)
-    d, x1, x2 = tworay_mod.envelope_trace(geom, np.linspace(lo, hi, n))
+    d, x1, x2 = envelope_trace(geom, np.linspace(lo, hi, n))
     return {"distance": list(d), "x1": list(x1), "x2": list(x2)}, (("distance", "x1", "x2"), zip(d, x1, x2))
 
 
 def _cmd_tworay_corr(args):
+    from .tworay import envelope_correlation
     geom = _geometry_from(args)
     lo, hi, n = _parse_range(args.d, count_means_grid=True)
-    rho = tworay_mod.envelope_correlation(geom, lo, hi, n)
+    rho = envelope_correlation(geom, lo, hi, n)
     payload = {"rho": rho, "n": n}
     return payload, _one_row(payload)
 
@@ -409,11 +430,14 @@ def _call(argv):
 def main():
     """Process entry: run ``sys.argv[1:]`` and return the exit code.
 
-    Everything imported so far lives until the process exits, so it is
-    frozen out of the cyclic garbage collector; its collections, the one
-    at exit included, then skip those objects."""
+    Everything imported lives until the process exits, so it is frozen
+    out of the cyclic garbage collector, once before the command and once
+    after it, since the handler imports the modules it runs; its
+    collections, the one at exit included, then skip those objects."""
     gc.freeze()
-    return run()
+    code = run()
+    gc.freeze()
+    return code
 
 
 def run(argv=None):
@@ -425,7 +449,7 @@ def run(argv=None):
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, ClassificationError, NonFiniteCostError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

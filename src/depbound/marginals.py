@@ -9,8 +9,9 @@ from the support edges).
 
 Nakagami, LogNormal and Rician import ``scipy.special`` inside the
 methods that call it.  Importing scipy costs more than most CLI commands
-compute, so ``import depbound`` loads only numpy and the standard
-library, and commands on the other families never pay for scipy.
+compute, so this module loads only numpy and the standard library
+(``import depbound`` loads no submodule at all, see the package
+docstring), and commands on the other families never pay for scipy.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "MongeReport",
     "ClassificationError",
@@ -27,7 +29,7 @@ __all__ = [
 ]
 
 
-class ClassificationError(Exception):
+class ClassificationError(NumericalError):
     """No usable lattice classification could be established."""
 
 CROSS_DIFFERENCE_TOL = 1e-9

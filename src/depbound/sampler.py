@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .transport import COUPLING_MAPS
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "McEstimate",
     "NonFiniteCostError",
     "mc_expectation",
-    "empirical_correlation",
 ]
 
 COUPLINGS = (*COUPLING_MAPS, "independent")
@@ -55,7 +55,7 @@ _CHUNK = 1 << 15
 _PARTS = min(2, os.cpu_count() or 1)
 
 
-class NonFiniteCostError(Exception):
+class NonFiniteCostError(NumericalError):
     """A cost evaluation produced NaN/inf during sampling."""
 
 
@@ -173,32 +173,3 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
 
     stderr = float(np.sqrt(m2 / (n - 1) / n))
     return McEstimate(value=mean, stderr=stderr, n=n, seed=seed)
-
-
-def empirical_correlation(x, y):
-    """Pearson correlation of two equally long samples.
-
-    Degenerate input (fewer than two points, a non-finite value, zero
-    variance in either coordinate, or moments that do not fit a float)
-    raises rather than returning NaN.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise ValueError("need at least two pairs")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("sample holds a non-finite value")
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = x - x.mean()
-        dy = y - y.mean()
-        vx = float(dx @ dx)
-        vy = float(dy @ dy)
-        if vx == 0.0 or vy == 0.0:
-            raise ValueError("degenerate sample: zero variance in a coordinate")
-        cxy = float(dx @ dy)
-        scale = float(np.sqrt(vx) * np.sqrt(vy))
-    if not (np.isfinite(cxy) and 0.0 < scale < np.inf):
-        raise ValueError(f"moments do not fit a float: var_x={vx!r}, var_y={vy!r}, cov={cxy!r}")
-    return float(np.clip(cxy / scale, -1.0, 1.0))

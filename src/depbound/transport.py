@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostFunction
+from .errors import NumericalError
 from .monge import ClassificationError, MongeReport, check_cross_difference
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-class QuadratureError(Exception):
+class QuadratureError(NumericalError):
     """Quadrature failed: non-convergence or a non-finite integrand.
 
     ``row`` is the worklist group that ran out of subdivisions, or None.
@@ -156,10 +157,11 @@ def _panel_estimates(f, lo, hi, idx):
     """K15 values and |K15 - G7| gaps for a batch of panels of integrands ``idx``."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    points = mid[:, None] + half[:, None] * _GK_NODES
+    points = half[:, None] * _GK_NODES
+    points += mid[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = np.asarray(f(points, idx[:, None]), dtype=float).reshape(points.shape)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = points.ravel()[np.flatnonzero(~np.isfinite(values.ravel()))[0]]
         raise QuadratureError(f"integrand returned a non-finite value at u={float(bad)!r}")
     k15 = half * (values @ _GK_WEIGHTS_15)
@@ -192,9 +194,11 @@ def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None):
         k15, gap = _panel_estimates(f, lo, hi, idx)
         running = values + np.bincount(idx, k15, minlength=width)
         done = gap <= np.maximum(abs_tol, rel_tol * np.abs(running[idx]))
-        values += np.bincount(idx[done], k15[done], minlength=width)
-        errors += np.bincount(idx[done], gap[done], minlength=width)
-        lo, hi, idx = lo[~done], hi[~done], idx[~done]
+        closed = idx[done]
+        values += np.bincount(closed, k15[done], minlength=width)
+        errors += np.bincount(closed, gap[done], minlength=width)
+        keep = ~done
+        lo, hi, idx = lo[keep], hi[keep], idx[keep]
         if lo.size == 0:
             break
         splits += np.bincount(group[idx], minlength=splits.size)
@@ -249,35 +253,45 @@ def unit_quadrature(f):
     return _unit_rows(lambda u, which: f(u.ravel()), 1)[0]
 
 
-def _by_row(costs, rows, x, y):
-    """``costs[k](x, y)`` where ``rows`` is k; ``rows`` is sorted, 1-D or a (P, 1) column.
+def _row_runs(costs):
+    """``(start, cost, params)`` per run of consecutive ``costs``, built once per integral.
 
-    A run of consecutive costs that share one ``fn`` and parameter names (a
-    sweep of one builtin) is one ``CostFunction`` call, each parameter a
-    per-panel column; a run of one cost is called as it is.
+    A run shares one ``fn`` and parameter names (a sweep of one builtin);
+    ``params`` holds each parameter's per-row array, None for a run of one.
     """
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
-    cuts = rows.ravel().searchsorted(np.arange(len(costs) + 1)).tolist()
     keys = [(getattr(c, "fn", None), tuple(getattr(c, "params", ()))) for c in costs]
-    start = 0
-    for k, cost in enumerate(costs, 1):
-        if k < len(costs) and keys[k][0] is not None and keys[k] == keys[k - 1]:
-            continue
-        a, b = cuts[start], cuts[k]
-        if b > a and k - start == 1:
-            out[a:b] = cost(x[a:b], y[a:b])
-        elif b > a:
-            column = rows[a:b] - start
-            params = {key: np.array([c.params[key] for c in costs[start:k]])[column] for key in cost.params}
-            out[a:b] = CostFunction(cost.name, cost.fn, params=params)(x[a:b], y[a:b])
-        start = k
+    starts = [0, *(k for k in range(1, len(costs)) if keys[k][0] is None or keys[k] != keys[k - 1])]
+    runs = []
+    for a, b in zip(starts, [*starts[1:], len(costs)]):
+        group = costs[a:b]
+        params = {key: np.array([c.params[key] for c in group]) for key in group[0].params} if b - a > 1 else None
+        runs.append((a, group[0], params))
+    return runs
+
+
+def _run_values(start, cost, params, rows, x, y):
+    if params is None:
+        return cost(x, y)
+    return CostFunction(cost.name, cost.fn, params={key: p[rows - start] for key, p in params.items()})(x, y)
+
+
+def _by_row(runs, rows, x, y):
+    """The cost of row k at ``(x, y)`` where ``rows`` (sorted, 1-D or a (P, 1) column) is k:
+    one call per run, each parameter a per-panel column; one run's values come back as they are."""
+    if len(runs) == 1:
+        return _run_values(*runs[0], rows, x, y)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    cuts = [*rows.ravel().searchsorted([run[0] for run in runs]).tolist(), rows.size]
+    for run, a, b in zip(runs, cuts, cuts[1:]):
+        if b > a:
+            out[a:b] = _run_values(*run, rows[a:b], x[a:b], y[a:b])
     return out
 
 
 def _coupled_rows(costs, fx, fy, coupling):
     """Expectations of ``costs`` under the map ``COUPLING_MAPS[coupling]``."""
-    qx, qy, t = fx.quantile, fy.quantile, COUPLING_MAPS[coupling]
-    return _unit_rows(lambda u, which: _by_row(costs, which, qx(u), qy(t(u))), len(costs))
+    qx, qy, t, runs = fx.quantile, fy.quantile, COUPLING_MAPS[coupling], _row_runs(costs)
+    return _unit_rows(lambda u, which: _by_row(runs, which, qx(u), qy(t(u))), len(costs))
 
 
 def comonotonic_expectation(cost, fx, fy):
@@ -292,7 +306,7 @@ def countermonotonic_expectation(cost, fx, fy):
 
 def _independent_rows(costs, fx, fy):
     """Independent expectations of ``costs``: one outer and one inner worklist for all."""
-    qx, qy = fx.quantile, fy.quantile
+    qx, qy, runs = fx.quantile, fy.quantile, _row_runs(costs)
     eps = _EPS
     y_edges = qy(np.array([eps, 1.0 - eps]))
     inner_err, inner_trunc = np.zeros((2, len(costs)))
@@ -303,11 +317,11 @@ def _independent_rows(costs, fx, fy):
         rows = np.broadcast_to(which, u.shape).ravel()
         lo = np.full(u.size, eps)
         vals, errs = _gk_worklist(
-            lambda v, inner: _by_row(costs, rows[inner], x[inner], qy(v)), lo, 1.0 - lo,
+            lambda v, inner: _by_row(runs, rows[inner], x[inner], qy(v)), lo, 1.0 - lo,
             _REL_TOL * 1e-2, _ABS_TOL * 1e-2, group=rows,
         )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            edge = sum(np.abs(_by_row(costs, rows, x, np.full_like(x, y))) for y in y_edges)
+            edge = sum(np.abs(_by_row(runs, rows, x, np.full_like(x, y))) for y in y_edges)
         if not np.all(np.isfinite(edge)):
             raise QuadratureError(f"integrand is non-finite at an inner truncation edge (eps={eps!r})")
         np.maximum.at(inner_err, rows, errs)

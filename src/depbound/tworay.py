@@ -19,9 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .sampler import empirical_correlation
-
-__all__ = ["SPEED_OF_LIGHT", "TwoRayGeometry", "path_lengths", "envelope", "envelope_trace", "envelope_correlation"]
+__all__ = ["SPEED_OF_LIGHT", "TwoRayGeometry", "path_lengths", "envelope", "envelope_trace", "envelope_correlation",
+           "empirical_correlation"]
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -121,3 +120,32 @@ def envelope_correlation(geom, d_low, d_high, n):
         raise ValueError(f"need at least 100 grid points, got {n}")
     _, x1, x2 = envelope_trace(geom, np.linspace(d_low, d_high, n))
     return empirical_correlation(x1, x2)
+
+
+def empirical_correlation(x, y):
+    """Pearson correlation of two equally long samples.
+
+    Degenerate input (fewer than two points, a non-finite value, zero
+    variance in either coordinate, or moments that do not fit a float)
+    raises rather than returning NaN.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size != y.size:
+        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    if x.size < 2:
+        raise ValueError("need at least two pairs")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("sample holds a non-finite value")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        vx = float(dx @ dx)
+        vy = float(dy @ dy)
+        if vx == 0.0 or vy == 0.0:
+            raise ValueError("degenerate sample: zero variance in a coordinate")
+        cxy = float(dx @ dy)
+        scale = float(np.sqrt(vx) * np.sqrt(vy))
+    if not (np.isfinite(cxy) and 0.0 < scale < np.inf):
+        raise ValueError(f"moments do not fit a float: var_x={vx!r}, var_y={vy!r}, cov={cxy!r}")
+    return float(np.clip(cxy / scale, -1.0, 1.0))

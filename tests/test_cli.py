@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from depbound import cli, sampler
+from depbound import cli, monge, sampler
 from depbound.cli import DEFAULT_SEED, run
 
 
@@ -311,7 +311,7 @@ class TestOutputFormats:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. TiB for an array")
 
-        monkeypatch.setattr(cli, "check_cross_difference", exhausted)
+        monkeypatch.setattr(monge, "check_cross_difference", exhausted)
         err = _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,1,0,1", "--grid", "10000000"], 1)
         assert "Unable to allocate" in err
 
@@ -319,7 +319,7 @@ class TestOutputFormats:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "check_cross_difference", exhausted)
+        monkeypatch.setattr(monge, "check_cross_difference", exhausted)
         err = _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,1,0,1"], 1)
         assert err == "error: out of memory\n"
 
@@ -504,6 +504,46 @@ class TestColdStart:
     def test_import_leaves_scipy_unloaded(self):
         assert self._modules_after("import depbound, depbound.cli") == ["False"]
 
+    def test_package_import_loads_no_submodule_or_numpy(self):
+        lines = self._modules_after(
+            "import depbound\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('depbound.')))"
+        )
+        assert lines == ["[]", "False"]
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["collision", "--p1", "0.9", "--p2", "0.5", "--p11", "0.05"], ["numpy"]),
+        (["tworay", "trace", "--f", "2e9", "--htx", "10", "--h1", "1", "--a1", "1", "--a2", "0.5", "--dh", "0.05",
+          "--d", "20:50:11"], ["depbound.transport", "depbound.sampler", "depbound.monge"]),
+        (["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2", "--independent"],
+         ["depbound.sampler", "depbound.tworay", "depbound.collision"]),
+    ], ids=["collision", "tworay-trace", "bounds-independent"])
+    def test_command_imports_only_what_it_runs(self, argv, unloaded):
+        lines = self._modules_after(
+            "from depbound import cli\n"
+            f"sys.argv = ['depbound', *{argv!r}]\n"
+            "assert cli.main() == 0\n"
+            f"print([name for name in {unloaded!r} if name in sys.modules])"
+        )
+        assert lines[-2] == "[]"
+
+    def test_every_public_name_resolves(self):
+        lines = self._modules_after(
+            "import importlib\n"
+            "import depbound\n"
+            "namespace = {}\n"
+            "exec('from depbound import *', namespace)\n"
+            "print(sorted(namespace.keys() - {'__builtins__'}) == sorted(depbound.__all__))\n"
+            "print(all(namespace[name] is getattr(depbound, name) for name in depbound.__all__))\n"
+            "print(depbound.bounds is importlib.import_module('depbound.transport').bounds)\n"
+            "print(depbound.tworay is sys.modules['depbound.tworay'])\n"
+            "try:\n"
+            "    depbound.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)"
+        )
+        assert lines == ["True", "True", "True", "True", "module 'depbound' has no attribute 'no_such_name'", "False"]
+
     def test_import_loads_no_executor_or_logging(self):
         # mc_expectation runs its parts on bare threading.Thread: an executor
         # would import logging on every command's cold start.
@@ -545,6 +585,17 @@ class TestColdStart:
         )
         assert lines[1:] == ["True", "False"]
         assert json.loads(lines[0])["p11"] == 0.05
+        # numpy and the quadrature are imported by the handler, after the
+        # first freeze; the collection at exit must skip them too.
+        numpy_tracked = int(self._modules_after("import gc, numpy\nprint(len(gc.get_objects()))")[0])
+        lines = self._modules_after(
+            "import gc\n"
+            "from depbound import cli\n"
+            "sys.argv = ['depbound', 'bounds', '--cost', 'sinr', '--fx', 'exp:1', '--fy', 'exp:2', '--independent']\n"
+            "assert cli.main() == 0\n"
+            "print(gc.get_freeze_count())"
+        )
+        assert int(lines[1]) > numpy_tracked
 
     def test_run_leaves_the_collector_alone(self):
         lines = self._modules_after(

@@ -16,7 +16,6 @@ from depbound.sampler import (
     COUPLINGS,
     McEstimate,
     NonFiniteCostError,
-    empirical_correlation,
     mc_expectation,
 )
 from depbound.transport import (
@@ -25,6 +24,7 @@ from depbound.transport import (
     countermonotonic_expectation,
     independent_expectation,
 )
+from depbound.tworay import empirical_correlation
 
 E1 = Exponential(1.0)
 E2 = Exponential(2.0)
