@@ -188,10 +188,10 @@ def builtin(name, **params):
 
 def _add_output_flags(p, default_format="json"):
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--format", choices=("json", "csv"), default=default_format)
     group.add_argument("--json", action="store_const", const="json", dest="format")
     group.add_argument("--csv", action="store_const", const="csv", dest="format")
     p.add_argument("--out", default=None, metavar="PATH")
+    p.set_defaults(format=default_format)
 
 
 def _cmd_bounds(args):

@@ -1,11 +1,12 @@
 """Parametric marginal distributions with exact quantile transforms.
 
-Every family exposes the same small surface: ``cdf``, ``quantile``,
-``mean``, and inverse-transform ``sample``.  The quantile functions are
-the workhorse of the whole package: both the coupling integrals and the
-Monte Carlo sampler are built on ``quantile(u)`` for uniform ``u``, so
-cdf/quantile round-trips have to be tight (1e-9 relative or better away
-from the support edges).
+Every family exposes the same small surface: ``cdf``, ``quantile`` and
+``mean``.  The quantile functions are the workhorse of the whole
+package: both the coupling integrals and the Monte Carlo sampler are
+built on ``quantile(u)`` for uniform ``u``, so cdf/quantile round-trips
+have to be tight (1e-9 relative or better away from the support edges).
+Draws come from ``sampler.mc_expectation``, which runs its parts on a
+thread pool, so ``quantile`` may be called from two threads at once.
 
 Nakagami, LogNormal and Rician import ``scipy.special`` inside the
 methods that call it.  Importing scipy costs more than most CLI commands
@@ -31,10 +32,6 @@ __all__ = [
     "Rician",
     "parse_marginal",
 ]
-
-# Smallest u passed to quantile() by sample(); keeps ndtri and log1p finite.
-_U_FLOOR = 1e-300
-
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
@@ -72,13 +69,6 @@ class Marginal:
         if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
             raise ValueError(f"{self.name}: quantile argument must be in the open interval (0, 1)")
         return _scalar_like(self._quantile(arr), u)
-
-    def sample(self, rng, n):
-        """Draw ``n`` i.i.d. values by inverse transform of ``rng.random``."""
-        if n < 1:
-            raise ValueError("sample size must be positive")
-        u = np.maximum(rng.random(int(n)), _U_FLOOR)
-        return self._quantile(u)
 
     def mean(self):
         raise NotImplementedError
@@ -258,10 +248,6 @@ class Rician(Marginal):
             raise ValueError(f"rician: k must be >= 0, got {self.k!r}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"rician: scale must be positive, got {self.scale!r}")
-
-    @property
-    def los_amplitude(self):
-        return self.scale * math.sqrt(2.0 * self.k)
 
     def _cdf(self, x):
         from scipy import special

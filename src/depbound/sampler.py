@@ -7,25 +7,25 @@ seed are antithetic.  Independence uses two streams spawned from the root.
 The chunk (``_CHUNK`` draws) is the unit of evaluation and of the moment
 merge; the part is the unit of threading.  The sample is cut into
 chunks and the chunks into up to ``_PARTS`` contiguous parts: the
-calling thread evaluates the first part and one thread each evaluates
-the others.  A part that starts at draw ``a`` of the sample draws from
-its own PCG64 generator advanced by ``a`` steps, which is exactly the
-stream a sequential pass reaches at ``a``.  Each chunk draws its
+calling thread evaluates the first part and a thread pool the others.
+A part that starts at draw ``a`` of the sample draws from its own PCG64
+generator advanced by ``a`` steps, which is exactly the stream a
+sequential pass reaches at ``a``.  Each chunk draws its
 uniforms, maps them through the quantiles, checks draws and costs, and
 writes its mean and M2 into its own row of one ``(chunks, 2)`` array.
-Once the parts have joined, the rows are merged in chunk order with the
+Once every part has finished, the rows are merged in chunk order with the
 exact pairwise update of Chan, Golub & LeVeque, so the estimate is
 stable out to n = 1e8.  Memory is chunk-sized temporaries plus 16 bytes
 per chunk.  The result is defined by the chunk size and does not depend
-on ``_PARTS``, bit for bit.  A part's error is re-raised only when no
-earlier part failed, so when a sample holds two faults, the first chunk
-with a fault decides the error.
+on ``_PARTS``, bit for bit.  The parts' results are read in part order,
+so when a sample holds two faults, the first chunk with a fault decides
+the error.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,27 +144,20 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
     parts = min(_PARTS, chunks)
     edges = [i * chunks // parts for i in range(parts + 1)]
     stats = np.empty((chunks, 2))
-    errors = [None] * parts
 
     def work(i):
-        try:
-            # Overflow here is not an anomaly to warn about, it is a checked
-            # failure mode: _check_finite and the moment check below turn it
-            # into a diagnostic.  The error state is per thread.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                _evaluate_part(cost, fx, fy, t, seqs, n, edges[i], edges[i + 1], stats)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors[i] = exc
+        # Overflow here is not an anomaly to warn about, it is a checked
+        # failure mode: _check_finite and the moment check below turn it
+        # into a diagnostic.  The error state is per thread.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _evaluate_part(cost, fx, fy, t, seqs, n, edges[i], edges[i + 1], stats)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, parts)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    # Leaving the block waits for every submitted part, also when one raised.
+    with ThreadPoolExecutor(_PARTS) as pool:
+        futures = [pool.submit(work, i) for i in range(1, parts)]
+        work(0)
+        for future in futures:
+            future.result()
     mean, m2 = _merge(stats, n)
     if not (np.isfinite(mean) and np.isfinite(m2)):
         raise NonFiniteCostError(

@@ -19,7 +19,8 @@ exceeds max(abs_tol, rel_tol * |running total of its own integrand|);
 each row of a sweep has its own subdivision budget.  Endpoints are
 truncated to [eps, 1 - eps] and the discarded tails are reported as an
 explicit truncation bound eps * (|f(eps)| + |f(1 - eps)|) instead of
-being silently dropped.  The tolerances, eps and the budget are fixed
+being silently dropped; a quantile that overflows at eps or 1 - eps
+raises ``QuadratureError`` before any pass.  The tolerances, eps and the budget are fixed
 module constants; no caller sets them.
 """
 
@@ -288,8 +289,22 @@ def _by_row(runs, rows, x, y):
     return out
 
 
+def _edge_quantiles(marginal, axis):
+    """``marginal`` at [eps, 1 - eps]; quantiles are nondecreasing, so finite ends bound every node."""
+    with np.errstate(over="ignore"):
+        edges = marginal.quantile(np.array([_EPS, 1.0 - _EPS]))
+    if not np.all(np.isfinite(edges)):
+        raise QuadratureError(
+            f"quantile of {axis} ({marginal.name}) overflows inside the integrated range: "
+            f"q({_EPS!r}) = {float(edges[0])!r}, q(1 - {_EPS!r}) = {float(edges[1])!r}"
+        )
+    return edges
+
+
 def _coupled_rows(costs, fx, fy, coupling):
     """Expectations of ``costs`` under the map ``COUPLING_MAPS[coupling]``."""
+    _edge_quantiles(fx, "X")
+    _edge_quantiles(fy, "Y")
     qx, qy, t, runs = fx.quantile, fy.quantile, COUPLING_MAPS[coupling], _row_runs(costs)
     return _unit_rows(lambda u, which: _by_row(runs, which, qx(u), qy(t(u))), len(costs))
 
@@ -306,9 +321,10 @@ def countermonotonic_expectation(cost, fx, fy):
 
 def _independent_rows(costs, fx, fy):
     """Independent expectations of ``costs``: one outer and one inner worklist for all."""
+    _edge_quantiles(fx, "X")
+    y_edges = _edge_quantiles(fy, "Y")
     qx, qy, runs = fx.quantile, fy.quantile, _row_runs(costs)
     eps = _EPS
-    y_edges = qy(np.array([eps, 1.0 - eps]))
     inner_err, inner_trunc = np.zeros((2, len(costs)))
 
     def outer(u, which):

@@ -91,7 +91,7 @@ class TestBounds:
 
     def test_csv_blank_when_independent_skipped(self, capsys):
         rows = _rows(_ok(capsys, ["bounds", "--cost", "sinr", "--fx", "exp:1",
-                                  "--fy", "exp:2", "--format", "csv"]))
+                                  "--fy", "exp:2", "--csv"]))
         assert rows[1][2] == ""
 
     def test_out_file(self, capsys, tmp_path):
@@ -545,8 +545,8 @@ class TestColdStart:
         assert lines == ["True", "True", "True", "True", "module 'depbound' has no attribute 'no_such_name'", "False"]
 
     def test_import_loads_no_executor_or_logging(self):
-        # mc_expectation runs its parts on bare threading.Thread: an executor
-        # would import logging on every command's cold start.
+        # concurrent.futures imports logging; only the sampler, which runs
+        # its parts on a thread pool, may load it, and not at import.
         lines = self._modules_after(
             "import depbound, depbound.cli\n"
             "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"
@@ -662,6 +662,22 @@ class TestSubprocess:
         assert res.stdout == b""
         err = res.stderr.decode()
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--cost", "product", "--fx", "lognormal:0,150", "--fy", "exp:1"],
+        ["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "lognormal:0,150", "--independent"],
+        ["sweep", "--cost", "mac_rate1", "--fx", "lognormal:0,150", "--fy", "exp:1", "--range", "0:1:1"],
+    ], ids=["bounds", "bounds-independent", "sweep"])
+    def test_overflowing_quantile_inside_the_range_is_numerical_error(self, argv):
+        # lognormal:0,150 has a finite 1e-4 classification box, but its
+        # quantile overflows at 1 - eps, inside the integrated range.
+        res = self._invoke(argv)
+        assert res.returncode == 2
+        assert res.stdout == b""
+        err = res.stderr.decode()
+        assert err.startswith("error: quantile of ")
         assert err.count("\n") == 1
         assert "Warning" not in err
 

@@ -3,7 +3,7 @@
 import math
 import sys
 import tracemalloc
-from types import SimpleNamespace
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -125,11 +125,12 @@ class TestDeterminism:
         assert results[0] == results[1] == results[2]
 
     def test_one_chunk_batches_start_no_thread(self, monkeypatch):
-        def no_thread(**kwargs):
-            raise AssertionError("started a thread")
+        class NoSubmit(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise AssertionError("submitted a part")
 
         monkeypatch.setattr(sampler, "_PARTS", 2)
-        monkeypatch.setattr(sampler, "threading", SimpleNamespace(Thread=no_thread))
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", NoSubmit)
         est = mc_expectation(builtin("sinr"), E1, E2, "comonotonic", _CHUNK, seed=4)
         assert est.n == _CHUNK
 
