@@ -100,7 +100,10 @@ def _make_mac_rate1(s=None, snr_db=None):
     if (s is None) == (snr_db is None):
         raise ValueError("mac_rate1: pass exactly one of s or snr_db")
     if snr_db is not None:
-        s = 10.0 ** (-float(snr_db) / 10.0)
+        try:
+            s = 10.0 ** (-float(snr_db) / 10.0)
+        except OverflowError:
+            raise ValueError(f"mac_rate1: snr_db={snr_db!r} overflows s = 10**(-snr_db/10)") from None
     s = float(s)
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError(f"mac_rate1: s must be positive, got {s!r}")

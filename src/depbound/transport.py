@@ -12,16 +12,16 @@ The quadrature engine is an adaptive Gauss-Kronrod 7/15 pair on one
 worklist of panels, which carries a single integral, all the inner
 integrals of the nested pass, or one coupling's integrals for every row
 of a sweep at once.  Integrands are evaluated per panel: a pass hands
-them its panels' (P, 15) nodes, and a sweep of one builtin costs one
-cost call per pass.  The 15-point value is kept, the |K15 - G7| gap is
-the panel's error estimate, and a panel is bisected while its gap
-exceeds max(abs_tol, rel_tol * |running total of its own integrand|);
-each row of a sweep has its own subdivision budget.  Endpoints are
-truncated to [eps, 1 - eps] and the discarded tails are reported as an
-explicit truncation bound eps * (|f(eps)| + |f(1 - eps)|) instead of
-being silently dropped; a quantile that overflows at eps or 1 - eps
-raises ``QuadratureError`` before any pass.  The tolerances, eps and the budget are fixed
-module constants; no caller sets them.
+them its panels' (P, 15) nodes, and a sweep, one cost function over a
+parameter, costs one cost call per pass.  The 15-point value is kept,
+the |K15 - G7| gap is the panel's error estimate, and a panel is
+bisected while its gap exceeds max(abs_tol, rel_tol * |running total of
+its own integrand|); each row of a sweep has its own subdivision budget.
+Endpoints are truncated to [eps, 1 - eps] and the discarded tails are
+reported as an explicit truncation bound eps * (|f(eps)| + |f(1 - eps)|)
+instead of being silently dropped; a quantile that overflows at eps or
+1 - eps raises ``QuadratureError`` before any pass.  The tolerances, eps
+and the budget are fixed module constants; no caller sets them.
 """
 
 from __future__ import annotations
@@ -254,39 +254,15 @@ def unit_quadrature(f):
     return _unit_rows(lambda u, which: f(u.ravel()), 1)[0]
 
 
-def _row_runs(costs):
-    """``(start, cost, params)`` per run of consecutive ``costs``, built once per integral.
-
-    A run shares one ``fn`` and parameter names (a sweep of one builtin);
-    ``params`` holds each parameter's per-row array, None for a run of one.
-    """
-    keys = [(getattr(c, "fn", None), tuple(getattr(c, "params", ()))) for c in costs]
-    starts = [0, *(k for k in range(1, len(costs)) if keys[k][0] is None or keys[k] != keys[k - 1])]
-    runs = []
-    for a, b in zip(starts, [*starts[1:], len(costs)]):
-        group = costs[a:b]
-        params = {key: np.array([c.params[key] for c in group]) for key in group[0].params} if b - a > 1 else None
-        runs.append((a, group[0], params))
-    return runs
-
-
-def _run_values(start, cost, params, rows, x, y):
-    if params is None:
-        return cost(x, y)
-    return CostFunction(cost.name, cost.fn, params={key: p[rows - start] for key, p in params.items()})(x, y)
-
-
-def _by_row(runs, rows, x, y):
-    """The cost of row k at ``(x, y)`` where ``rows`` (sorted, 1-D or a (P, 1) column) is k:
-    one call per run, each parameter a per-panel column; one run's values come back as they are."""
-    if len(runs) == 1:
-        return _run_values(*runs[0], rows, x, y)
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
-    cuts = [*rows.ravel().searchsorted([run[0] for run in runs]).tolist(), rows.size]
-    for run, a, b in zip(runs, cuts, cuts[1:]):
-        if b > a:
-            out[a:b] = _run_values(*run, rows[a:b], x[a:b], y[a:b])
-    return out
+def _row_cost(costs):
+    """``cost(rows, x, y)``: the cost of row k at ``(x, y)`` where ``rows`` (1-D or a (P, 1)
+    column) is k, built once per integral.  One cost is called as it is; a sweep's rows share
+    one function, so they are one call with each parameter a per-panel column."""
+    first = costs[0]
+    if len(costs) == 1:
+        return lambda rows, x, y: first(x, y)
+    columns = {key: np.array([c.params[key] for c in costs]) for key in first.params}
+    return lambda rows, x, y: CostFunction(first.name, first.fn, params={k: p[rows] for k, p in columns.items()})(x, y)
 
 
 def _edge_quantiles(marginal, axis):
@@ -305,8 +281,8 @@ def _coupled_rows(costs, fx, fy, coupling):
     """Expectations of ``costs`` under the map ``COUPLING_MAPS[coupling]``."""
     _edge_quantiles(fx, "X")
     _edge_quantiles(fy, "Y")
-    qx, qy, t, runs = fx.quantile, fy.quantile, COUPLING_MAPS[coupling], _row_runs(costs)
-    return _unit_rows(lambda u, which: _by_row(runs, which, qx(u), qy(t(u))), len(costs))
+    qx, qy, t, cost = fx.quantile, fy.quantile, COUPLING_MAPS[coupling], _row_cost(costs)
+    return _unit_rows(lambda u, which: cost(which, qx(u), qy(t(u))), len(costs))
 
 
 def comonotonic_expectation(cost, fx, fy):
@@ -323,7 +299,7 @@ def _independent_rows(costs, fx, fy):
     """Independent expectations of ``costs``: one outer and one inner worklist for all."""
     _edge_quantiles(fx, "X")
     y_edges = _edge_quantiles(fy, "Y")
-    qx, qy, runs = fx.quantile, fy.quantile, _row_runs(costs)
+    qx, qy, cost = fx.quantile, fy.quantile, _row_cost(costs)
     eps = _EPS
     inner_err, inner_trunc = np.zeros((2, len(costs)))
 
@@ -333,11 +309,11 @@ def _independent_rows(costs, fx, fy):
         rows = np.broadcast_to(which, u.shape).ravel()
         lo = np.full(u.size, eps)
         vals, errs = _gk_worklist(
-            lambda v, inner: _by_row(runs, rows[inner], x[inner], qy(v)), lo, 1.0 - lo,
+            lambda v, inner: cost(rows[inner], x[inner], qy(v)), lo, 1.0 - lo,
             _REL_TOL * 1e-2, _ABS_TOL * 1e-2, group=rows,
         )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            edge = sum(np.abs(_by_row(runs, rows, x, np.full_like(x, y))) for y in y_edges)
+            edge = sum(np.abs(cost(rows, x, np.full_like(x, y))) for y in y_edges)
         if not np.all(np.isfinite(edge)):
             raise QuadratureError(f"integrand is non-finite at an inner truncation edge (eps={eps!r})")
         np.maximum.at(inner_err, rows, errs)
@@ -459,7 +435,10 @@ def classified_bounds(cost, fx, fy, include_independent=False):
 def bounds_sweep(cost_factory, params, fx, fy, include_independent=True):
     """One ``classified_bounds`` result per parameter value, integrated together.
 
-    ``cost_factory(p)`` builds the cost for parameter ``p``; a
+    A sweep is one cost function with different parameters:
+    ``cost_factory(p)`` builds the cost for parameter ``p``, and every
+    row's ``fn`` and parameter names must be the first row's, else
+    ``ValueError`` before any classification or quadrature.  A
     neither/indeterminate row aborts the sweep (``ClassificationError``)
     before any quadrature.  Each coupling's integrals of all rows share
     one worklist, each row on its own budget, so a row fails as alone;
@@ -469,6 +448,11 @@ def bounds_sweep(cost_factory, params, fx, fy, include_independent=True):
     if not params:
         return []
     costs = [cost_factory(p) for p in params]
+    first = costs[0]
+    for p, cost in zip(params[1:], costs[1:]):
+        if cost.fn is not first.fn or cost.params.keys() != first.params.keys():
+            raise ValueError(f"a sweep's rows must be one cost function with different parameters; "
+                             f"the row for parameter {float(p)!r} is not the first row's function")
     box = working_domain(fx, fy)
     reports = [check_cross_difference(cost, box, n=64) for cost in costs]
     try:

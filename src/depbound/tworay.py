@@ -19,10 +19,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["SPEED_OF_LIGHT", "TwoRayGeometry", "path_lengths", "envelope", "envelope_trace", "envelope_correlation",
-           "empirical_correlation"]
+from .errors import NumericalError
+
+__all__ = ["SPEED_OF_LIGHT", "EnvelopeError", "TwoRayGeometry", "path_lengths", "envelope", "envelope_trace",
+           "envelope_correlation", "empirical_correlation"]
 
 SPEED_OF_LIGHT = 299792458.0
+
+
+class EnvelopeError(NumericalError):
+    """The geometry's envelope is not finite at a distance of the grid."""
 
 
 @dataclass(frozen=True)
@@ -85,25 +91,32 @@ def path_lengths(geom, d, antenna):
 
 
 def envelope(geom, d, antenna):
-    """Squared envelope X_antenna(d) = a1^2 + a2^2 + 2 a1 a2 cos(omega dtau)."""
+    """Squared envelope X_antenna(d) = a1^2 + a2^2 + 2 a1 a2 cos(omega dtau),
+    in float64 without warnings: inf or NaN where it leaves the float range."""
     s_los, s_nlos = path_lengths(geom, d, antenna)
-    omega = 2.0 * math.pi * geom.f
-    dtau = (np.asarray(s_los) - np.asarray(s_nlos)) / SPEED_OF_LIGHT
-    x = geom.a1**2 + geom.a2**2 + 2.0 * geom.a1 * geom.a2 * np.cos(omega * dtau)
+    a1, a2, f = np.float64(geom.a1), np.float64(geom.a2), np.float64(geom.f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dtau = (np.asarray(s_los) - np.asarray(s_nlos)) / SPEED_OF_LIGHT
+        x = a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(2.0 * math.pi * f * dtau)
     return float(x) if np.ndim(d) == 0 else x
 
 
 def envelope_trace(geom, d_grid):
     """Envelopes at both antennas over an increasing grid of distances.
 
-    Returns (d, x1, x2) as parallel arrays, one row per grid point.
+    Returns (d, x1, x2) as parallel arrays, one row per grid point.  A
+    non-finite envelope raises ``EnvelopeError`` naming its first distance.
     """
     d = _check_distance(d_grid)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("distance grid must be a nonempty 1-D array")
     if d.size > 1 and not np.all(np.diff(d) > 0.0):
         raise ValueError("distance grid must be strictly increasing")
-    return d, envelope(geom, d, 1), envelope(geom, d, 2)
+    x1, x2 = envelope(geom, d, 1), envelope(geom, d, 2)
+    bad = ~(np.isfinite(x1) & np.isfinite(x2))
+    if bad.any():
+        raise EnvelopeError(f"envelope is not finite at distance {float(d[bad.argmax()])!r}")
+    return d, x1, x2
 
 
 def envelope_correlation(geom, d_low, d_high, n):

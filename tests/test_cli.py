@@ -473,6 +473,14 @@ class TestUsageErrors:
                        "--coupling", "comonotone", "--n", "1000"], 1)
 
     @pytest.mark.parametrize("argv", [
+        ["bounds", "--cost", "mac_rate1:snr_db=-4000", "--fx", "exp:1", "--fy", "exp:1"],
+        ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1", "--range", "-4000:-4000:1"],
+    ], ids=["bounds", "sweep"])
+    def test_snr_db_beyond_float_range(self, capsys, argv):
+        # 10**(-snr_db/10) overflows; it was an OverflowError traceback.
+        assert "snr_db=-4000.0" in _fail(capsys, argv, 1)
+
+    @pytest.mark.parametrize("argv", [
         ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1", "--range", "0:inf:1"],
         ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1", "--range", "0:1:inf"],
         ["tworay", "trace", *TestTworay.GEOM, "--d", "20:inf:10"],
@@ -680,6 +688,18 @@ class TestSubprocess:
         assert err.startswith("error: quantile of ")
         assert err.count("\n") == 1
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("command", ["trace", "corr"])
+    @pytest.mark.parametrize("geometry", [
+        ["--f", "1e308"], ["--htx", "1e308", "--h1", "1e308"], ["--a1", "1e200", "--a2", "1e200"],
+    ], ids=["f", "heights", "amplitudes"])
+    def test_non_finite_envelope_is_numerical_error(self, command, geometry):
+        # Finite fields whose envelope leaves the float range printed NaN
+        # (not JSON) after a RuntimeWarning, or an OverflowError traceback.
+        res = self._invoke(["tworay", command, *TestTworay.GEOM, *geometry, "--d", "20:50:101", "--json"])
+        assert res.returncode == 2
+        assert res.stdout == b""
+        assert res.stderr.decode() == "error: envelope is not finite at distance 20.0\n"
 
     def test_overflowing_moments_are_numerical_error(self):
         # Every draw and cost is finite; the squared deviations are not.

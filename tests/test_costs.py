@@ -48,6 +48,14 @@ def test_mac_rate1_snr_db_parameterization():
         builtin("mac_rate1", s=-2.0)
 
 
+@pytest.mark.parametrize("snr_db", [-4000.0, -3090.0])
+def test_snr_db_beyond_float_range_is_value_error(snr_db):
+    # 10**(-snr_db/10) overflows a float: a ValueError naming snr_db,
+    # not the OverflowError of the power.
+    with pytest.raises(ValueError, match="snr_db"):
+        builtin("mac_rate1", snr_db=snr_db)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_analytic_mixed_partial_matches_finite_difference(name):
     cost = _make(name)

@@ -30,6 +30,15 @@ E1 = Exponential(1.0)
 E2 = Exponential(2.0)
 
 
+def _mixed_fn(x, y, w):
+    # Submodular for w < 0, supermodular for w > 0, modular at w = 0.
+    return x + y + w * np.log1p(x) * np.log1p(y)
+
+
+def _wave_fn(x, y, a):
+    return np.sin(a * x) * np.sin(a * y)
+
+
 def _classified(cost, fx, fy):
     box = (
         float(fx.quantile(1e-4)),
@@ -320,13 +329,9 @@ class TestSweep:
 
     @staticmethod
     def _mixed(p):
-        # Rows cycle through a submodular, a supermodular and a modular cost.
-        kind = int(p) % 3
-        if kind == 0:
-            return builtin("mac_rate1", s=1.0 + p)
-        if kind == 1:
-            return CostFunction(name="scaled_prop_fair", fn=lambda x, y: (1.0 + p) * np.log1p(x) * np.log1p(y))
-        return CostFunction(name="shifted_additive", fn=lambda x, y: x + p * y)
+        # One function whose weight w cycles in sign through -, + and 0, so the
+        # rows cycle through a submodular, a supermodular and a modular cost.
+        return CostFunction(name="mixed", fn=_mixed_fn, params={"w": (1.0 + p) * (-1.0, 1.0, 0.0)[int(p) % 3]})
 
     @pytest.mark.parametrize("include_independent", [True, False])
     def test_each_row_matches_classified_bounds(self, include_independent):
@@ -353,20 +358,39 @@ class TestSweep:
         assert bounds_sweep(self._mixed, [], E1, E1) == []
 
     def test_one_unclassified_row_aborts(self):
-        def factory(p):
-            if p == 2.0:
-                return CostFunction(name="wave", fn=lambda x, y: np.sin(x) * np.sin(y))
-            return self._mixed(p)
+        # sin(a x) sin(a y) rises on the working box for a = 0.1 and 0.15
+        # (supermodular) and swings for a = 1 (neither).
+        def factory(a):
+            return CostFunction(name="wave", fn=_wave_fn, params={"a": a})
 
+        assert classified_bounds(factory(0.1), E1, E1).classification_used == "supermodular"
         with pytest.raises(ClassificationError, match="neither"):
-            bounds_sweep(factory, [0.0, 1.0, 2.0, 3.0], E1, E1)
+            bounds_sweep(factory, [0.1, 0.15, 1.0, 0.12], E1, E1)
+
+    @pytest.mark.parametrize("other", [
+        CostFunction(name="mixed", fn=lambda x, y, w: x + y + w * np.log1p(x) * np.log1p(y), params={"w": 1.0}),
+        CostFunction(name="mixed", fn=_mixed_fn, params={"v": 1.0}),
+    ], ids=["function", "parameter-names"])
+    def test_rows_of_two_cost_functions_fail_before_any_work(self, monkeypatch, other):
+        def no_work(*args, **kwargs):
+            raise AssertionError("classified or integrated a sweep of two cost functions")
+
+        monkeypatch.setattr(transport, "check_cross_difference", no_work)
+        monkeypatch.setattr(transport, "_gk_worklist", no_work)
+        with pytest.raises(ValueError, match=r"^a sweep's rows must be one cost function with different "
+                                             r"parameters; the row for parameter 2\.0 "):
+            bounds_sweep(lambda p: other if p == 2.0 else self._mixed(p), [0.0, 1.0, 2.0, 3.0], E1, E1)
 
     def test_subdivision_budget_is_per_row(self, monkeypatch):
         # Each row fits the budget alone but needs more than half of it,
         # so the three rows together need more than one budget holds.
         monkeypatch.setattr(transport, "_MAX_SUBDIVISIONS", 700)
+        rate = builtin("mac_rate1", s=1.0).fn
+
         def factory(s):
-            return builtin("additive") if s == 0 else builtin("mac_rate1", s=s)
+            # mac_rate1's function throughout; at s = 0 it takes s = inf,
+            # the rate at zero SNR, which is the constant 0: a modular cost.
+            return CostFunction(name="mac_rate1", fn=rate, params={"s": s or math.inf})
 
         params = [0.1, 1.0, 10.0]
         alone = [classified_bounds(factory(s), E1, E1, include_independent=True) for s in params]

@@ -1,11 +1,14 @@
 """Two-path envelope geometry and antenna-pair correlation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from depbound.errors import NumericalError
 from depbound.tworay import (
+    EnvelopeError,
     TwoRayGeometry,
     envelope,
     envelope_correlation,
@@ -139,3 +142,35 @@ class TestValidation:
             envelope_correlation(geom, 50.0, 20.0, 1_000)
         with pytest.raises(ValueError):
             envelope_correlation(geom, 20.0, 50.0, 99)
+
+
+class TestNonFiniteEnvelope:
+    """Finite fields whose envelope leaves the float range raise a typed error, never a warning."""
+
+    @pytest.mark.parametrize("fields", [
+        {"f": 1e308}, {"h_tx": 1e308, "h1": 1e308}, {"a1": 1e200, "a2": 1e200},
+    ], ids=["f", "heights", "amplitudes"])
+    def test_trace_names_the_first_distance(self, fields):
+        geom = TwoRayGeometry(**{"a1": 1.0, "a2": 0.5, "f": 2e9, "h_tx": 10.0, "h1": 1.0, "dh": 0.05, **fields})
+        with pytest.raises(EnvelopeError, match=r"^envelope is not finite at distance 20\.0$") as info:
+            envelope_trace(geom, np.array([20.0, 35.0, 50.0]))
+        assert isinstance(info.value, NumericalError)
+        with pytest.raises(EnvelopeError):
+            envelope_correlation(geom, 20.0, 50.0, 1_000)
+
+    def test_envelope_is_inf_or_nan_without_a_warning(self):
+        # The suite turns RuntimeWarning into an error, so a warning fails here.
+        geom = TwoRayGeometry(a1=1.0, a2=0.5, f=1e308, h_tx=10.0, h1=1.0, dh=0.05)
+        assert math.isnan(envelope(geom, 20.0, antenna=1))
+        assert envelope(_mast(dh=0.05, a1=1e200, a2=0.0), 20.0, antenna=1) == math.inf
+
+    def test_trace_names_the_first_bad_distance(self):
+        # a1^2 + a2^2 fits a float; the envelope overflows where cos(omega dtau) > 0.83.
+        geom = _mast(dh=0.05, a1=0.7e154, a2=0.7e154)
+        d = np.linspace(22.0, 50.0, 281)
+        first = min(d[~np.isfinite(envelope(geom, d, antenna))][0] for antenna in (1, 2))
+        assert first > d[0]
+        _, x1, x2 = envelope_trace(geom, d[d < first])
+        assert np.isfinite(x1).all() and np.isfinite(x2).all()
+        with pytest.raises(EnvelopeError, match=f"at distance {re.escape(repr(float(first)))}$"):
+            envelope_trace(geom, d)
