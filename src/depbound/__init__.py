@@ -5,8 +5,8 @@ expectations over all joint laws with fixed marginals are attained by
 the two monotone quantile couplings; this package computes them by
 adaptive quadrature, validates them by seeded Monte Carlo, and covers
 the worked communication scenarios (fading envelopes, multiple-access
-rates, collision channels) that motivate treating dependence as the
-free parameter.
+rates, and collision channels as bounds on two Bernoulli marginals) that
+motivate treating dependence as the free parameter.
 
 ``import depbound`` loads no submodule and no numpy: a public name or a
 submodule imports its module when first read (PEP 562), so a command
@@ -19,17 +19,16 @@ __version__ = "0.1.0"
 
 # Each public name by the submodule that defines it.
 _HOME = {name: module for module, names in (
-    ("marginals", "Marginal Exponential Uniform Rayleigh Nakagami LogNormal Rician parse_marginal"),
+    ("marginals", "Marginal Exponential Uniform Rayleigh Nakagami LogNormal Rician Bernoulli parse_marginal"),
     ("costs", "CostFunction builtin parse_cost"),
     ("monge", "MongeReport check_cross_difference check_mixed_partial"),
     ("transport", "QuadratureError ClassificationError Expectation BoundsResult comonotonic_expectation "
                   "countermonotonic_expectation independent_expectation bounds bounds_sweep classified_bounds "
                   "working_domain"),
     ("sampler", "McEstimate mc_expectation"),
-    ("collision", "CollisionSpec CollisionResult analyze"),
     ("tworay", "TwoRayGeometry path_lengths envelope envelope_trace envelope_correlation empirical_correlation"),
 ) for name in names.split()}
-_SUBMODULES = ("cli", "collision", "costs", "errors", "marginals", "monge", "sampler", "transport", "tworay")
+_SUBMODULES = ("cli", "costs", "errors", "marginals", "monge", "sampler", "transport", "tworay")
 
 __all__ = [*_HOME, "__version__"]
 

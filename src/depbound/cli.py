@@ -15,9 +15,10 @@ modification time.
 script); ``run`` is the same command without its process-level setup, for
 callers that stay alive after it returns.
 
-Each handler imports the modules it runs when it runs, so ``collision``
-starts without numpy and ``tworay`` without the quadrature; ``run`` maps
-every ``NumericalError`` to exit 2 without importing what raises one.
+Each handler imports the modules it runs when it runs, so ``tworay``
+starts without the quadrature and ``bounds`` without the Monte Carlo
+sampler; ``run`` maps every ``NumericalError`` to exit 2 without
+importing what raises one.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ DEFAULT_SEED = 1729
 _MAX_POINTS = 1_000_000
 # The short ``mc --coupling`` flags and the sampler's coupling each names.
 _COUPLING_FLAGS = {"co": "comonotonic", "counter": "countermonotonic", "ind": "independent"}
+# How far ``collision --p11`` may sit outside its feasible range.
+_P11_SLACK = 1e-12
 # Bytes compared at a time when checking whether an output file already
 # holds what would be written.
 _COMPARE_BLOCK = 1 << 20
@@ -269,19 +272,44 @@ def _cmd_monge(args):
 
 
 def _cmd_collision(args):
-    from . import collision
-    spec = collision.CollisionSpec(args.p1, args.p2)
-    result = collision.analyze(spec)
+    """Each user picks resource one with probability p_i; a slot succeeds when they differ.
+
+    X ~ Bernoulli(1 - p1) and Y ~ Bernoulli(1 - p2) mark the picks of
+    resource two, so success is E[x + y - 2xy], submodular, and p11 =
+    P(both on resource two) is E[xy], supermodular: the comonotonic
+    coupling gives the lowest success and the highest p11.  Success and
+    the picks' correlation are linear in p11.
+    """
+    from .costs import CostFunction
+    from .marginals import Bernoulli
+    from .transport import comonotonic_expectation, countermonotonic_expectation, independent_expectation
+    p1, p2 = args.p1, args.p2
+    for label, p in (("p1", p1), ("p2", p2)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{label} must be a probability in [0, 1], got {p!r}")
+    q1, q2 = 1.0 - p1, 1.0 - p2
+    fx, fy = Bernoulli(q1), Bernoulli(q2)
+    success = CostFunction("success", lambda x, y: x + y - 2.0 * x * y)
+    both = builtin("product")
+    lo, hi = countermonotonic_expectation(both, fx, fy).value, comonotonic_expectation(both, fx, fy).value
+    spread = math.sqrt(p1 * q1 * p2 * q2)
+
+    def rho(p11):
+        # Undefined when a marginal is degenerate: its pick has zero variance.
+        return None if spread == 0.0 else (p11 - q1 * q2) / spread
+
     payload = {
-        "u_independent": result.u_independent,
-        "p11_range": list(result.p11_range),
-        "u_range": list(result.u_range),
-        "rho_range": None if result.rho_range is None else list(result.rho_range),
+        "u_independent": independent_expectation(success, fx, fy).value,
+        "p11_range": [lo, hi],
+        "u_range": [comonotonic_expectation(success, fx, fy).value,
+                    countermonotonic_expectation(success, fx, fy).value],
+        "rho_range": None if spread == 0.0 else [rho(lo), rho(hi)],
     }
     if args.p11 is not None:
-        payload["p11"] = args.p11
-        payload["u"] = collision.success_from_p11(spec, args.p11)
-        payload["rho"] = None if spec.degenerate() else collision.rho_from_p11(spec, args.p11)
+        p11 = args.p11
+        if not lo - _P11_SLACK <= p11 <= hi + _P11_SLACK:
+            raise ValueError(f"p11={p11!r} outside the feasible range [{lo!r}, {hi!r}]")
+        payload.update(p11=p11, u=min(max(2.0 - p1 - p2 - 2.0 * p11, 0.0), 1.0), rho=rho(p11))
     return payload, None
 
 

@@ -1,8 +1,11 @@
 """Parametric marginal distributions with exact quantile transforms.
 
 Every family exposes the same small surface: ``cdf``, ``quantile`` and
-``mean``.  The quantile functions are the workhorse of the whole
-package: both the coupling integrals and the Monte Carlo sampler are
+``mean``, plus two attributes the quadrature reads: ``breakpoints``, the
+cdf levels in (0, 1) where the quantile jumps (none by default), and
+``bounded``, true when the support is a bounded interval (Uniform and
+Bernoulli), so no tail needs truncating.  The quantile functions are
+the workhorse of the whole package: both the coupling integrals and the Monte Carlo sampler are
 built on ``quantile(u)`` for uniform ``u``, so cdf/quantile round-trips
 have to be tight (1e-9 relative or better away from the support edges).
 Draws come from ``sampler.mc_expectation``, which runs its parts on a
@@ -30,6 +33,7 @@ __all__ = [
     "Nakagami",
     "LogNormal",
     "Rician",
+    "Bernoulli",
     "parse_marginal",
 ]
 
@@ -54,6 +58,8 @@ class Marginal:
     """
 
     name = "marginal"
+    breakpoints = ()
+    bounded = False
 
     def cdf(self, x):
         """P(X <= x).  Defined on all finite reals; 0 below the support."""
@@ -109,6 +115,7 @@ class Uniform(Marginal):
     low: float
     high: float
     name = "uniform"
+    bounded = True
 
     def __post_init__(self):
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
@@ -267,6 +274,32 @@ class Rician(Marginal):
         half = 0.5 * self.k
         bessel = (1.0 + self.k) * special.i0e(half) + self.k * special.i1e(half)
         return float(self.scale * math.sqrt(math.pi / 2.0) * bessel)
+
+
+@dataclass(frozen=True)
+class Bernoulli(Marginal):
+    """1 with probability ``p``, else 0: the quantile 1{u > 1 - p} steps at 1 - p."""
+
+    p: float
+    name = "bernoulli"
+    bounded = True
+
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"bernoulli: p must be in [0, 1], got {self.p!r}")
+
+    @property
+    def breakpoints(self):
+        return (1.0 - self.p,) if 0.0 < self.p < 1.0 else ()
+
+    def _cdf(self, x):
+        return np.where(x < 0.0, 0.0, np.where(x < 1.0, 1.0 - self.p, 1.0))
+
+    def _quantile(self, u):
+        return (u > 1.0 - self.p).astype(float)
+
+    def mean(self):
+        return self.p
 
 
 _FAMILIES = {

@@ -17,11 +17,17 @@ parameter, costs one cost call per pass.  The 15-point value is kept,
 the |K15 - G7| gap is the panel's error estimate, and a panel is
 bisected while its gap exceeds max(abs_tol, rel_tol * |running total of
 its own integrand|); each row of a sweep has its own subdivision budget.
+Each integrand starts on the panels between its cut points, the
+``breakpoints`` of its marginals (cdf levels where a quantile steps,
+read through ``getattr``, none by default), with a breakpoint b of Y cut
+at T(b) in a coupled integral; a step there is integrated exactly.
 Endpoints are truncated to [eps, 1 - eps] and the discarded tails are
 reported as an explicit truncation bound eps * (|f(eps)| + |f(1 - eps)|)
 instead of being silently dropped; a quantile that overflows at eps or
-1 - eps raises ``QuadratureError`` before any pass.  The tolerances, eps
-and the budget are fixed module constants; no caller sets them.
+1 - eps raises ``QuadratureError`` before any pass.  An axis whose
+marginals are all ``bounded`` (Uniform, Bernoulli) has no tail: it runs
+over [0, 1] and reports zero truncation.  The tolerances, eps and the
+budget are fixed module constants; no caller sets them.
 """
 
 from __future__ import annotations
@@ -170,10 +176,13 @@ def _panel_estimates(f, lo, hi, idx):
     return k15, np.abs(k15 - g7)
 
 
-def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None):
-    """Integrate ``lo.size`` integrands on one worklist; returns (values, errors).
+def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None, owner=None):
+    """Integrate one or more integrands on one worklist; returns (values, errors).
 
-    Integrand ``i`` runs over [lo[i], hi[i]].  ``f(points, which)`` gets
+    Panel ``k`` is [lo[k], hi[k]] of integrand ``owner[k]``, a
+    nondecreasing index from 0 (panel ``k`` of integrand ``k`` when
+    None), so an integrand may start on several panels and a step at a
+    panel edge is never chased by bisection.  ``f(points, which)`` gets
     one pass's panels at once: ``points`` is (P, 15), the nodes of a
     panel per row, and ``which`` the (P, 1) column of their integrands,
     so per-integrand data broadcasts over the nodes.  A panel is
@@ -181,12 +190,12 @@ def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None):
     integral of its own integrand|), the running integral being that
     integrand's accepted value plus its in-flight K15 values.  The rest
     are bisected in place, breadth-first, so ``which`` stays sorted, on
-    one ``_MAX_SUBDIVISIONS`` budget per ``group`` label (one in all).
-    Running out raises ``QuadratureError`` whose ``row`` is the first
-    label over budget.
+    one ``_MAX_SUBDIVISIONS`` budget per ``group`` label of an integrand
+    (one in all).  Running out raises ``QuadratureError`` whose ``row``
+    is the first label over budget.
     """
-    width = lo.size
-    idx = np.arange(width)
+    idx = np.arange(lo.size) if owner is None else owner
+    width = int(idx[-1]) + 1
     group = np.zeros(width, dtype=int) if group is None else group
     splits = np.zeros(group.max(initial=0) + 1, dtype=int)
     values = np.zeros(width)
@@ -234,18 +243,39 @@ def adaptive_quadrature(f, a, b):
     return float(values[0]), float(errors[0])
 
 
-def _unit_rows(f, n_rows):
-    """Integrate ``n_rows`` integrands ``f(u, which)`` over (0, 1), each on its own budget."""
+def _breaks(marginal):
+    """The cdf levels where ``marginal``'s quantile jumps; a duck-typed marginal has none."""
+    return getattr(marginal, "breakpoints", ())
+
+
+def _start_panels(n, cuts, bounded):
+    """First panels (lo, hi, owner) of ``n`` integrands on (0, 1), cut at ``cuts``.
+
+    A bounded axis runs over [0, 1] itself, an unbounded one over
+    [eps, 1 - eps]; a cut outside that range is dropped.
+    """
+    eps = 0.0 if bounded else _EPS
+    edges = np.array([eps, *sorted({float(c) for c in cuts if eps < c < 1.0 - eps}), 1.0 - eps])
+    return np.tile(edges[:-1], n), np.tile(edges[1:], n), np.arange(n).repeat(edges.size - 1)
+
+
+def _unit_rows(f, n_rows, cuts=(), bounded=False):
+    """Integrate ``n_rows`` integrands ``f(u, which)`` over (0, 1), each on its own budget.
+
+    Each starts on the panels between ``cuts``.  A ``bounded`` integrand
+    runs over [0, 1] and reports no truncation."""
     eps = _EPS
     idx = np.arange(n_rows)
-    lo = np.full(n_rows, eps)
-    values, errors = _gk_worklist(f, lo, 1.0 - lo, _REL_TOL, _ABS_TOL, group=idx)
-    ends = np.tile([eps, 1.0 - eps], (n_rows, 1))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        edge = np.abs(np.asarray(f(ends, idx[:, None]), dtype=float)).reshape(ends.shape)
-    if not np.all(np.isfinite(edge)):
-        raise QuadratureError(f"integrand is non-finite at a truncation edge (eps={eps!r})")
-    truncation = eps * (edge[:, 0] + edge[:, 1])
+    lo, hi, owner = _start_panels(n_rows, cuts, bounded)
+    values, errors = _gk_worklist(f, lo, hi, _REL_TOL, _ABS_TOL, group=idx, owner=owner)
+    truncation = np.zeros(n_rows)
+    if not bounded:
+        ends = np.tile([eps, 1.0 - eps], (n_rows, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            edge = np.abs(np.asarray(f(ends, idx[:, None]), dtype=float)).reshape(ends.shape)
+        if not np.all(np.isfinite(edge)):
+            raise QuadratureError(f"integrand is non-finite at a truncation edge (eps={eps!r})")
+        truncation = eps * (edge[:, 0] + edge[:, 1])
     return [Expectation(float(v), float(e + t), float(t)) for v, e, t in zip(values, errors, truncation)]
 
 
@@ -282,7 +312,10 @@ def _coupled_rows(costs, fx, fy, coupling):
     _edge_quantiles(fx, "X")
     _edge_quantiles(fy, "Y")
     qx, qy, t, cost = fx.quantile, fy.quantile, COUPLING_MAPS[coupling], _row_cost(costs)
-    return _unit_rows(lambda u, which: cost(which, qx(u), qy(t(u))), len(costs))
+    # Y = qy(t(u)) jumps where t(u) is a breakpoint b of Y: at u = t(b), as t is its own inverse.
+    cuts = [*_breaks(fx), *map(t, _breaks(fy))]
+    bounded = getattr(fx, "bounded", False) and getattr(fy, "bounded", False)
+    return _unit_rows(lambda u, which: cost(which, qx(u), qy(t(u))), len(costs), cuts, bounded)
 
 
 def comonotonic_expectation(cost, fx, fy):
@@ -300,27 +333,29 @@ def _independent_rows(costs, fx, fy):
     _edge_quantiles(fx, "X")
     y_edges = _edge_quantiles(fy, "Y")
     qx, qy, cost = fx.quantile, fy.quantile, _row_cost(costs)
-    eps = _EPS
+    eps, y_bounded = _EPS, getattr(fy, "bounded", False)
     inner_err, inner_trunc = np.zeros((2, len(costs)))
 
     def outer(u, which):
         # One inner integrand per outer node; ``x[inner]`` is a (P, 1) column.
         x = qx(u).ravel()
         rows = np.broadcast_to(which, u.shape).ravel()
-        lo = np.full(u.size, eps)
+        lo, hi, owner = _start_panels(u.size, _breaks(fy), y_bounded)
         vals, errs = _gk_worklist(
-            lambda v, inner: cost(rows[inner], x[inner], qy(v)), lo, 1.0 - lo,
-            _REL_TOL * 1e-2, _ABS_TOL * 1e-2, group=rows,
+            lambda v, inner: cost(rows[inner], x[inner], qy(v)), lo, hi,
+            _REL_TOL * 1e-2, _ABS_TOL * 1e-2, group=rows, owner=owner,
         )
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            edge = sum(np.abs(cost(rows, x, np.full_like(x, y))) for y in y_edges)
-        if not np.all(np.isfinite(edge)):
-            raise QuadratureError(f"integrand is non-finite at an inner truncation edge (eps={eps!r})")
         np.maximum.at(inner_err, rows, errs)
-        np.maximum.at(inner_trunc, rows, eps * edge)
+        if not y_bounded:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                edge = sum(np.abs(cost(rows, x, np.full_like(x, y))) for y in y_edges)
+            if not np.all(np.isfinite(edge)):
+                raise QuadratureError(f"integrand is non-finite at an inner truncation edge (eps={eps!r})")
+            np.maximum.at(inner_trunc, rows, eps * edge)
         return vals.reshape(u.shape)
 
-    outers = zip(_unit_rows(outer, len(costs)), inner_err.tolist(), inner_trunc.tolist())
+    outer_rows = _unit_rows(outer, len(costs), _breaks(fx), getattr(fx, "bounded", False))
+    outers = zip(outer_rows, inner_err.tolist(), inner_trunc.tolist())
     return [Expectation(r.value, r.error + err + trunc, r.truncation + trunc) for r, err, trunc in outers]
 
 

@@ -21,14 +21,18 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["SPEED_OF_LIGHT", "EnvelopeError", "TwoRayGeometry", "path_lengths", "envelope", "envelope_trace",
-           "envelope_correlation", "empirical_correlation"]
+__all__ = ["SPEED_OF_LIGHT", "EnvelopeError", "MomentError", "TwoRayGeometry", "path_lengths", "envelope",
+           "envelope_trace", "envelope_correlation", "empirical_correlation"]
 
 SPEED_OF_LIGHT = 299792458.0
 
 
 class EnvelopeError(NumericalError):
     """The geometry's envelope is not finite at a distance of the grid."""
+
+
+class MomentError(NumericalError, ValueError):
+    """A sample's second moments do not fit a float."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,11 @@ class TwoRayGeometry:
         return self.h1 + (antenna - 1) * self.dh
 
     def envelope_range(self):
-        """Attainable [min, max] of the squared envelope (cosine extremes)."""
-        return ((self.a1 - self.a2) ** 2, (self.a1 + self.a2) ** 2)
+        """Attainable [min, max] of the squared envelope (cosine extremes), in float64
+        without warnings, as in ``envelope``: inf where it leaves the float range."""
+        a1, a2 = np.float64(self.a1), np.float64(self.a2)
+        with np.errstate(over="ignore"):
+            return float((a1 - a2) ** 2), float((a1 + a2) ** 2)
 
 
 def _check_distance(d):
@@ -139,8 +146,9 @@ def empirical_correlation(x, y):
     """Pearson correlation of two equally long samples.
 
     Degenerate input (fewer than two points, a non-finite value, zero
-    variance in either coordinate, or moments that do not fit a float)
-    raises rather than returning NaN.
+    variance in either coordinate) raises ``ValueError`` rather than
+    returning NaN; moments that do not fit a float raise ``MomentError``,
+    a ``NumericalError``.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -160,5 +168,5 @@ def empirical_correlation(x, y):
         cxy = float(dx @ dy)
         scale = float(np.sqrt(vx) * np.sqrt(vy))
     if not (np.isfinite(cxy) and 0.0 < scale < np.inf):
-        raise ValueError(f"moments do not fit a float: var_x={vx!r}, var_y={vy!r}, cov={cxy!r}")
+        raise MomentError(f"moments do not fit a float: var_x={vx!r}, var_y={vy!r}, cov={cxy!r}")
     return float(np.clip(cxy / scale, -1.0, 1.0))

@@ -12,13 +12,7 @@ import time
 
 import numpy as np
 
-from depbound.collision import (
-    CollisionSpec,
-    analyze,
-    rho_from_p11,
-    success_from_p11,
-    success_independent,
-)
+from depbound import cli
 from depbound.costs import builtin
 from depbound.marginals import (
     Exponential,
@@ -135,21 +129,31 @@ def test_criterion_4_antenna_envelope_correlations():
     )
 
 
+def _collision(*args):
+    """``depbound collision --p1 --p2 [--p11]``, run in process; its payload before rounding."""
+    flags = ("--p1", "--p2", "--p11")
+    _, (payload, _) = cli._call(["collision", *(f for pair in zip(flags, map(repr, args)) for f in pair)])
+    return payload
+
+
 def test_criterion_5_collision_ranges_and_monotonicity():
-    res = analyze(CollisionSpec(0.5, 0.5))
-    exact = res.rho_range == (-1.0, 1.0) and res.u_range == (0.0, 1.0)
+    half = _collision(0.5, 0.5)
+    exact = (cli._round_tree(half["rho_range"]) == [-1.0, 1.0]
+             and cli._round_tree(half["u_range"]) == [0.0, 1.0])
     rng = np.random.default_rng(505)
     monotone = True
     worst_gap = 0.0
-    for _ in range(1_000):
+    for _ in range(200):
         p1, p2 = (float(v) for v in rng.uniform(0.01, 0.99, size=2))
-        spec = CollisionSpec(p1, p2)
-        grid = np.linspace(*spec.p11_range(), 9)
-        u = np.array([success_from_p11(spec, float(t)) for t in grid])
-        r = np.array([rho_from_p11(spec, float(t)) for t in grid])
+        doc = _collision(p1, p2)
+        points = [_collision(p1, p2, float(t)) for t in np.linspace(*doc["p11_range"], 9)]
+        u = np.array([point["u"] for point in points])
+        r = np.array([point["rho"] for point in points])
         monotone = monotone and bool(np.all(np.diff(u) < 0)) and bool(np.all(np.diff(r) > 0))
+        # The independence point p11 = q1 q2, against the closed form of independent success.
         q11 = (1 - p1) * (1 - p2)
-        worst_gap = max(worst_gap, abs(success_from_p11(spec, q11) - success_independent(spec)))
+        closed = p1 * (1 - p2) + (1 - p1) * p2
+        worst_gap = max(worst_gap, abs(_collision(p1, p2, q11)["u"] - closed), abs(doc["u_independent"] - closed))
     ok = exact and monotone and worst_gap <= 1e-12
     _verdict(
         5, "collision ranges and monotonicity", ok,

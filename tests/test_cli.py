@@ -520,7 +520,8 @@ class TestColdStart:
         assert lines == ["[]", "False"]
 
     @pytest.mark.parametrize("argv, unloaded", [
-        (["collision", "--p1", "0.9", "--p2", "0.5", "--p11", "0.05"], ["numpy"]),
+        (["collision", "--p1", "0.9", "--p2", "0.5", "--p11", "0.05"],
+         ["scipy", "depbound.sampler", "depbound.tworay"]),
         (["tworay", "trace", "--f", "2e9", "--htx", "10", "--h1", "1", "--a1", "1", "--a2", "0.5", "--dh", "0.05",
           "--d", "20:50:11"], ["depbound.transport", "depbound.sampler", "depbound.monge"]),
         (["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2", "--independent"],
@@ -700,6 +701,14 @@ class TestSubprocess:
         assert res.returncode == 2
         assert res.stdout == b""
         assert res.stderr.decode() == "error: envelope is not finite at distance 20.0\n"
+
+    def test_overflowing_envelope_moments_are_numerical_error(self):
+        # Every envelope is finite; their squared deviations are not.  This exited 1.
+        res = self._invoke(["tworay", "corr", *TestTworay.GEOM[:8], "--a1", "5e153", "--a2", "5e153",
+                            "--d", "20:50:1000"])
+        assert res.returncode == 2
+        assert res.stdout == b""
+        assert res.stderr.decode() == "error: moments do not fit a float: var_x=inf, var_y=inf, cov=inf\n"
 
     def test_overflowing_moments_are_numerical_error(self):
         # Every draw and cost is finite; the squared deviations are not.

@@ -1,125 +1,188 @@
-"""Closed-form throughput/correlation ranges for the paired-collision channel."""
+"""``depbound collision`` against the channel's closed forms.
+
+Each user picks resource one with probability p_i and a slot succeeds
+when the picks differ.  With q_i = 1 - p_i, the joint law of the picks
+has one free parameter, p11 = P(both pick resource two), feasible on
+[max(0, q1 + q2 - 1), min(q1, q2)].  Success 2 - p1 - p2 - 2 p11 and the
+picks' correlation (p11 - q1 q2) / sqrt(p1 q1 p2 q2) are linear in it.
+These closed forms are the oracle here; the command computes the ranges
+as coupling integrals over two Bernoulli marginals.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
-from depbound.collision import (
-    CollisionResult,
-    CollisionSpec,
-    analyze,
-    rho_from_p11,
-    success_from_p11,
-    success_independent,
-)
+from depbound import cli
+
+GRID = [0.0, 1e-5, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99999, 1.0, 0.123456789]
+
+
+def _closed_form(p1, p2):
+    """The oracle: the range payload, and the maps p11 -> u and p11 -> rho."""
+    q1, q2 = 1.0 - p1, 1.0 - p2
+    lo, hi = max(0.0, q1 + q2 - 1.0), min(q1, q2)
+    spread = math.sqrt(p1 * q1 * p2 * q2)
+
+    def u(p11):
+        return min(max(2.0 - p1 - p2 - 2.0 * p11, 0.0), 1.0)
+
+    def rho(p11):
+        return (p11 - q1 * q2) / spread
+
+    payload = {"u_independent": p1 * q2 + q1 * p2, "p11_range": [lo, hi], "u_range": [u(hi), u(lo)],
+               "rho_range": None if spread == 0.0 else [rho(lo), rho(hi)]}
+    return payload, u, rho
+
+
+def _argv(p1, p2, p11=None):
+    return ["collision", "--p1", repr(p1), "--p2", repr(p2), *([] if p11 is None else ["--p11", repr(p11)])]
+
+
+def _collision(p1, p2, p11=None):
+    """The command's payload before its numbers are rounded for printing."""
+    _, (payload, _) = cli._call(_argv(p1, p2, p11))
+    return payload
+
+
+def _fails(capsys, argv):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 class TestPointFormulas:
     def test_symmetric_half(self):
-        spec = CollisionSpec(0.5, 0.5)
-        assert spec.p11_range() == (0.0, 0.5)
-        assert success_independent(spec) == pytest.approx(0.5)
+        doc = _collision(0.5, 0.5)
+        assert doc["p11_range"] == pytest.approx([0.0, 0.5], abs=1e-15)
+        assert doc["u_independent"] == pytest.approx(0.5)
         # Joint idle mass 0: both slots always carry exactly one arrival.
-        assert success_from_p11(spec, 0.0) == pytest.approx(1.0)
+        assert _collision(0.5, 0.5, 0.0)["u"] == pytest.approx(1.0)
+        assert _collision(0.5, 0.5, 0.0)["rho"] == pytest.approx(-1.0)
         # Joint idle mass 1/2: slots mirror each other, every arrival collides
         # or the pair is idle.
-        assert success_from_p11(spec, 0.5) == pytest.approx(0.0)
-        assert rho_from_p11(spec, 0.0) == pytest.approx(-1.0)
-        assert rho_from_p11(spec, 0.5) == pytest.approx(1.0)
-        assert rho_from_p11(spec, 0.25) == pytest.approx(0.0, abs=1e-15)
+        assert _collision(0.5, 0.5, 0.5)["u"] == pytest.approx(0.0)
+        assert _collision(0.5, 0.5, 0.5)["rho"] == pytest.approx(1.0)
+        assert _collision(0.5, 0.5, 0.25)["rho"] == pytest.approx(0.0, abs=1e-15)
 
     def test_asymmetric_example(self):
-        spec = CollisionSpec(0.9, 0.5)
-        lo, hi = spec.p11_range()
-        assert lo == pytest.approx(0.0)
-        assert hi == pytest.approx(0.1)
-        res = analyze(spec)
-        assert res.u_range[0] == pytest.approx(0.4)
-        assert res.u_range[1] == pytest.approx(0.6)
-        assert res.rho_range[0] == pytest.approx(-1.0 / 3.0)
-        assert res.rho_range[1] == pytest.approx(1.0 / 3.0)
+        doc = _collision(0.9, 0.5)
+        assert doc["p11_range"] == pytest.approx([0.0, 0.1])
+        assert doc["u_range"] == pytest.approx([0.4, 0.6])
+        assert doc["rho_range"] == pytest.approx([-1.0 / 3.0, 1.0 / 3.0])
         # p11 = (1-p1)(1-p2) is the independence point.
-        assert rho_from_p11(spec, 0.05) == pytest.approx(0.0, abs=1e-12)
-        assert success_from_p11(spec, 0.05) == pytest.approx(success_independent(spec))
+        point = _collision(0.9, 0.5, 0.05)
+        assert point["rho"] == pytest.approx(0.0, abs=1e-12)
+        assert point["u"] == pytest.approx(doc["u_independent"])
 
     def test_u_formula(self):
-        spec = CollisionSpec(0.3, 0.6)
-        for p11 in np.linspace(*spec.p11_range(), 7):
-            expected = 2.0 - 0.3 - 0.6 - 2.0 * p11
-            assert success_from_p11(spec, float(p11)) == pytest.approx(expected)
+        lo, hi = _collision(0.3, 0.6)["p11_range"]
+        for p11 in np.linspace(lo, hi, 7):
+            assert _collision(0.3, 0.6, float(p11))["u"] == pytest.approx(2.0 - 0.3 - 0.6 - 2.0 * p11)
 
 
 class TestAnalyze:
-    def test_result_schema(self):
-        res = analyze(CollisionSpec(0.5, 0.5))
-        assert isinstance(res, CollisionResult)
-        assert res.u_range == (0.0, 1.0)
-        assert res.rho_range == (-1.0, 1.0)
-        assert res.u_independent == pytest.approx(0.5)
+    def test_result_schema(self, capsys):
+        assert cli.run(_argv(0.5, 0.5)) == 0
+        printed = capsys.readouterr().out
+        assert printed == '{"u_independent": 0.5, "p11_range": [0.0, 0.5], "u_range": [0.0, 1.0], ' \
+                          '"rho_range": [-1.0, 1.0]}\n'
+        assert list(_collision(0.9, 0.5, 0.05)) == ["u_independent", "p11_range", "u_range", "rho_range",
+                                                    "p11", "u", "rho"]
 
     def test_u_range_orientation(self):
         # U falls as joint idling rises, so the range endpoints swap order
         # relative to the p11 endpoints.
-        res = analyze(CollisionSpec(0.7, 0.4))
-        lo11, hi11 = res.p11_range
-        assert res.u_range[0] == pytest.approx(success_from_p11(CollisionSpec(0.7, 0.4), hi11))
-        assert res.u_range[1] == pytest.approx(success_from_p11(CollisionSpec(0.7, 0.4), lo11))
-        assert res.u_range[0] <= res.u_independent <= res.u_range[1]
+        doc = _collision(0.7, 0.4)
+        lo11, hi11 = doc["p11_range"]
+        assert doc["u_range"][0] == pytest.approx(_collision(0.7, 0.4, hi11)["u"])
+        assert doc["u_range"][1] == pytest.approx(_collision(0.7, 0.4, lo11)["u"])
+        assert doc["u_range"][0] <= doc["u_independent"] <= doc["u_range"][1]
 
     def test_degenerate_marginal_has_no_rho(self):
-        res = analyze(CollisionSpec(1.0, 0.5))
-        assert res.rho_range is None
-        assert res.u_range[0] == res.u_range[1] == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            rho_from_p11(CollisionSpec(1.0, 0.5), 0.0)
+        for p1, p2 in ((1.0, 0.5), (0.0, 0.5), (0.3, 1.0), (0.0, 1.0)):
+            doc = _collision(p1, p2)
+            assert doc["rho_range"] is None
+            assert doc["u_range"][0] == doc["u_range"][1] == pytest.approx(_closed_form(p1, p2)[0]["u_independent"])
+            assert _collision(p1, p2, doc["p11_range"][0])["rho"] is None
 
     def test_monotone_structure_randomized(self):
         rng = np.random.default_rng(60601)
-        for _ in range(1_000):
-            p1, p2 = rng.uniform(0.01, 0.99, size=2)
-            spec = CollisionSpec(float(p1), float(p2))
-            lo, hi = spec.p11_range()
+        for _ in range(200):
+            p1, p2 = (float(p) for p in rng.uniform(0.01, 0.99, size=2))
+            doc = _collision(p1, p2)
+            lo, hi = doc["p11_range"]
             assert lo <= (1 - p1) * (1 - p2) + 1e-12
             assert (1 - p1) * (1 - p2) <= hi + 1e-12
-            grid = np.linspace(lo, hi, 9)
-            u = np.array([success_from_p11(spec, float(t)) for t in grid])
-            rho = np.array([rho_from_p11(spec, float(t)) for t in grid])
+            points = [_collision(p1, p2, float(t)) for t in np.linspace(lo, hi, 9)]
+            u = np.array([point["u"] for point in points])
+            rho = np.array([point["rho"] for point in points])
             # U strictly decreasing, rho strictly increasing in the idle mass.
             assert np.all(np.diff(u) < 0)
             assert np.all(np.diff(rho) > 0)
-            res = analyze(spec)
-            assert res.u_range[0] == pytest.approx(float(u[-1]), abs=1e-12)
-            assert res.u_range[1] == pytest.approx(float(u[0]), abs=1e-12)
-            assert res.rho_range[0] == pytest.approx(float(rho[0]), abs=1e-12)
-            assert res.rho_range[1] == pytest.approx(float(rho[-1]), abs=1e-12)
-            assert 0.0 <= res.u_range[0] and res.u_range[1] <= 1.0
+            assert doc["u_range"] == pytest.approx([u[-1], u[0]], abs=1e-12)
+            assert doc["rho_range"] == pytest.approx([rho[0], rho[-1]], abs=1e-12)
+            assert 0.0 <= doc["u_range"][0] and doc["u_range"][1] <= 1.0
 
     def test_sharpness_endpoints_are_attained(self):
         # The reported extremes coincide with feasible joint laws, not
         # relaxations: plugging the endpoint p11 back in reproduces them.
-        spec = CollisionSpec(0.25, 0.8)
-        res = analyze(spec)
-        lo11, hi11 = res.p11_range
-        assert success_from_p11(spec, lo11) == pytest.approx(res.u_range[1])
-        assert success_from_p11(spec, hi11) == pytest.approx(res.u_range[0])
+        doc = _collision(0.25, 0.8)
+        lo11, hi11 = doc["p11_range"]
+        assert _collision(0.25, 0.8, lo11)["u"] == pytest.approx(doc["u_range"][1])
+        assert _collision(0.25, 0.8, hi11)["u"] == pytest.approx(doc["u_range"][0])
 
 
 class TestValidation:
-    def test_probability_domain(self):
-        for bad in (-0.1, 1.1, float("nan")):
-            with pytest.raises(ValueError):
-                CollisionSpec(bad, 0.5)
-            with pytest.raises(ValueError):
-                CollisionSpec(0.5, bad)
+    def test_probability_domain(self, capsys):
+        for bad in ("-0.1", "1.1", "nan", "inf"):
+            err = _fails(capsys, ["collision", "--p1", bad, "--p2", "0.5"])
+            assert err.startswith(f"error: p1 must be a probability in [0, 1], got {float(bad)!r}")
+            err = _fails(capsys, ["collision", "--p1", "0.5", "--p2", bad])
+            assert err.startswith("error: p2 must be a probability")
+        _fails(capsys, ["collision", "--p1", "half", "--p2", "0.5"])
 
-    def test_p11_outside_range_rejected(self):
-        spec = CollisionSpec(0.5, 0.5)
-        with pytest.raises(ValueError):
-            success_from_p11(spec, 0.6)
-        with pytest.raises(ValueError):
-            success_from_p11(spec, -1e-6)
+    def test_p11_outside_range_rejected(self, capsys):
+        assert _fails(capsys, _argv(0.5, 0.5, 0.6)) == "error: p11=0.6 outside the feasible range [0.0, 0.5]\n"
+        _fails(capsys, _argv(0.5, 0.5, -1e-6))
+        # Within 1e-12 of an end is still feasible.
+        assert _collision(0.5, 0.5, -1e-13)["u"] == 1.0
+        assert _collision(0.5, 0.5, 0.5 + 1e-13)["u"] == 0.0
 
     def test_p11_range_tightens_with_load(self):
         # Heavier load shrinks the feasible idle-overlap interval.
-        wide = CollisionSpec(0.2, 0.2).p11_range()
-        narrow = CollisionSpec(0.9, 0.9).p11_range()
+        wide = _collision(0.2, 0.2)["p11_range"]
+        narrow = _collision(0.9, 0.9)["p11_range"]
         assert (wide[1] - wide[0]) > (narrow[1] - narrow[0])
+
+
+class TestGrid:
+    """Every pair of ``GRID``, alone and at both ends of its p11 range, meets the closed forms."""
+
+    @pytest.mark.parametrize("p1", GRID)
+    def test_grid_matches_closed_forms(self, capsys, p1):
+        for p2 in GRID:
+            oracle, u, rho = _closed_form(p1, p2)
+            lo, hi = oracle["p11_range"]
+            spread = math.sqrt(p1 * (1.0 - p1) * p2 * (1.0 - p2))
+            for p11 in (None, lo, hi):
+                doc = _collision(p1, p2, p11)
+                for key in ("u_independent", "p11_range", "u_range"):
+                    assert doc[key] == pytest.approx(oracle[key], rel=0.0, abs=1e-15), (p1, p2, key)
+                if spread == 0.0:
+                    assert doc["rho_range"] is None
+                else:
+                    assert doc["rho_range"] == pytest.approx(oracle["rho_range"], rel=0.0, abs=1e-15 / spread)
+                if p11 is not None:
+                    assert doc["u"] == u(p11)
+                    assert doc["rho"] == (None if spread == 0.0 else rho(p11))
+                assert cli.run(_argv(p1, p2, p11)) == 0
+                assert capsys.readouterr().err == ""
+
+    def test_equal_loads_never_collide_comonotonically(self):
+        # The closed form printed 1.11022302463e-16 here for an exact 0:
+        # coupled comonotonically, equal picks always agree.
+        assert _collision(0.9, 0.9)["u_range"][0] == 0.0

@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 from depbound.marginals import (
+    Bernoulli,
     Exponential,
     LogNormal,
     Nakagami,
@@ -163,8 +164,23 @@ def test_parse_marginal_rejects(text):
         lambda: Rician(-0.1, 1.0),
         lambda: Rician(1.0, 0.0),
         lambda: Exponential(float("nan")),
+        lambda: Bernoulli(-0.1),
+        lambda: Bernoulli(1.5),
+        lambda: Bernoulli(float("nan")),
     ],
 )
 def test_invalid_parameters_raise(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+def test_bernoulli_steps_at_its_breakpoint():
+    b = Bernoulli(0.3)
+    assert b.breakpoints == (0.7,) and b.bounded and b.mean() == 0.3
+    assert b.quantile(np.array([1e-12, 0.7, np.nextafter(0.7, 1.0), 1.0 - 1e-12])).tolist() == [0, 0, 1, 1]
+    assert b.cdf(np.array([-1.0, 0.0, 0.5, 1.0, 3.0])).tolist() == [0.0, 0.7, 0.7, 1.0, 1.0]
+    assert isinstance(b.quantile(0.5), float)
+    # A point mass has no step inside (0, 1).
+    assert Bernoulli(0.0).breakpoints == Bernoulli(1.0).breakpoints == ()
+    assert Bernoulli(0.0).quantile(1.0 - 1e-12) == 0.0 and Bernoulli(1.0).quantile(1e-12) == 1.0
+    assert unit_quadrature(b.quantile).value == pytest.approx(0.3, abs=1e-8)

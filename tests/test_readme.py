@@ -1,4 +1,4 @@
-"""The README's library quick start runs and prints what its comment says."""
+"""The README's library recipes run and print what their comments say."""
 
 import os
 import re
@@ -9,9 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_quick_start_prints_its_comment():
+def _check_python_block(index):
     text = (ROOT / "README.md").read_text()
-    block = re.search(r"^```python\n(.*?)^```", text, re.S | re.M).group(1)
+    block = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)[index]
     lines = block.splitlines()
     # The comment right after the first print is that print's output.
     after_print = next(i for i, line in enumerate(lines) if line.startswith("print(")) + 1
@@ -21,3 +21,11 @@ def test_quick_start_prints_its_comment():
     res = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, cwd=ROOT)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[0] == expected
+
+
+def test_quick_start_prints_its_comment():
+    _check_python_block(0)
+
+
+def test_collision_recipe_prints_its_comment():
+    _check_python_block(1)

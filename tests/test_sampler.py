@@ -10,7 +10,7 @@ import pytest
 
 from depbound import sampler
 from depbound.costs import CostFunction, builtin
-from depbound.marginals import Exponential, LogNormal, Rayleigh, Uniform, parse_marginal
+from depbound.marginals import Bernoulli, Exponential, LogNormal, Rayleigh, Uniform, parse_marginal
 from depbound.sampler import (
     _CHUNK,
     COUPLINGS,
@@ -185,6 +185,16 @@ class TestAgreement:
         exact = self.QUAD[coupling](cost, E1, E2).value
         est = mc_expectation(cost, E1, E2, coupling, 400_000, seed=20260819)
         assert abs(est.value - exact) < 4 * est.stderr
+
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    def test_bernoulli_pair_matches_quadrature(self, coupling):
+        # Step quantiles: the draws take two values, the quadrature splits at the steps.
+        fx, fy = Bernoulli(0.3), Bernoulli(0.6)
+        cost = builtin("sinr")
+        exact = self.QUAD[coupling](cost, fx, fy).value
+        est = mc_expectation(cost, fx, fy, coupling, 200_000, seed=11)
+        assert est.stderr > 0.0
+        assert abs(est.value - exact) <= 6 * est.stderr
 
     def test_additive_all_couplings_share_mean(self):
         cost = builtin("additive")

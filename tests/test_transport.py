@@ -7,7 +7,7 @@ import pytest
 
 from depbound import transport
 from depbound.costs import CostFunction, builtin
-from depbound.marginals import Exponential, LogNormal, Nakagami, Rayleigh, Uniform
+from depbound.marginals import Bernoulli, Exponential, LogNormal, Nakagami, Rayleigh, Uniform
 from depbound.monge import check_cross_difference
 from depbound.transport import (
     COUPLING_MAPS,
@@ -246,6 +246,101 @@ class TestCouplingExpectations:
         for cost in (builtin("sinr"), builtin("product")):
             res = independent_expectation(cost, E1, E2)
             assert 0.0 < res.truncation <= res.error
+
+
+class TestBreakpoints:
+    """Integrands start on the panels between their cut points; a bounded axis is not truncated."""
+
+    @staticmethod
+    def _passes(monkeypatch):
+        passes = []
+        estimates = transport._panel_estimates
+
+        def counting(f, lo, hi, idx):
+            passes.append(lo.size)
+            return estimates(f, lo, hi, idx)
+
+        monkeypatch.setattr(transport, "_panel_estimates", counting)
+        return passes
+
+    def test_declared_step_is_exact_in_one_pass(self, monkeypatch):
+        def step(u, which):
+            return (u > 0.3).astype(float)
+
+        eps = transport._EPS
+        passes = self._passes(monkeypatch)
+        cut = transport._unit_rows(step, 1, (0.3,))[0]
+        assert passes == [2]
+        assert cut.value == pytest.approx(0.7 - eps, rel=0.0, abs=1e-15)
+        assert cut.truncation == eps
+        passes.clear()
+        bounded = transport._unit_rows(step, 1, (0.3,), bounded=True)[0]
+        assert passes == [2]
+        assert (bounded.value, bounded.truncation) == (pytest.approx(0.7, rel=0.0, abs=1e-15), 0.0)
+        assert bounded.error <= 1e-15
+        # Undeclared, the step is chased by bisection and still missed.
+        passes.clear()
+        chased = transport._unit_rows(step, 1)[0]
+        assert len(passes) > 20
+        assert abs(chased.value - (0.7 - eps)) > 1e-9
+
+    @pytest.mark.parametrize("px, py", [(0.3, 0.6), (0.9, 0.5), (0.25, 0.25), (0.0, 0.4), (1.0, 0.7), (0.5, 1.0)])
+    def test_builtins_on_bernoulli_pairs_are_two_point_sums(self, px, py):
+        fx, fy = Bernoulli(px), Bernoulli(py)
+        both = {
+            "comonotonic": min(px, py),
+            "countermonotonic": max(0.0, px + py - 1.0),
+            "independent": px * py,
+        }
+        compute = {
+            "comonotonic": comonotonic_expectation,
+            "countermonotonic": countermonotonic_expectation,
+            "independent": independent_expectation,
+        }
+        for name in ("sinr", "mac_rate1", "sum_rate", "secret_key", "prop_fair", "product", "additive"):
+            cost = builtin(name, s=0.5) if name == "mac_rate1" else builtin(name)
+            for coupling, p11 in both.items():
+                law = {(1.0, 1.0): p11, (1.0, 0.0): px - p11, (0.0, 1.0): py - p11, (0.0, 0.0): 1.0 - px - py + p11}
+                expected = sum(p * float(cost(x, y)) for (x, y), p in law.items())
+                res = compute[coupling](cost, fx, fy)
+                assert res.value == pytest.approx(expected, rel=1e-12, abs=1e-15), (name, coupling)
+                assert res.truncation == 0.0
+
+    def test_uniform_product_closed_forms_without_truncation(self):
+        a, b, c, d = 0.5, 2.0, 1.0, 4.0
+        cost = builtin("product")
+        res = bounds(cost, Uniform(a, b), Uniform(c, d), _classified(cost, Uniform(a, b), Uniform(c, d)),
+                     include_independent=True)
+        # E[XY] for X = a + (b - a)u and Y = c + (d - c)u, or d - (d - c)u.
+        co = a * c + (a * (d - c) + c * (b - a)) / 2 + (b - a) * (d - c) / 3
+        counter = a * d + ((b - a) * d - a * (d - c)) / 2 - (b - a) * (d - c) / 3
+        assert res.classification_used == "supermodular"
+        assert res.upper == pytest.approx(co, rel=1e-14)
+        assert res.lower == pytest.approx(counter, rel=1e-14)
+        assert res.independent == pytest.approx((a + b) / 2 * (c + d) / 2, rel=1e-14)
+        assert res.truncation_bound == 0.0
+
+    def test_countermonotonic_cut_is_at_one_minus_the_breakpoint(self, monkeypatch):
+        # Y = qy(1 - u) steps where 1 - u = 0.7, at u = 0.3, so
+        # E[XY] = integral of -log(1 - u) over (0, 0.3) on an unbounded X axis.
+        starts = []
+        worklist = transport._gk_worklist
+
+        def spy(f, lo, hi, *args, **kwargs):
+            starts.append(list(lo))
+            return worklist(f, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "_gk_worklist", spy)
+        res = countermonotonic_expectation(builtin("product"), E1, Bernoulli(0.3))
+        assert starts == [[transport._EPS, 1.0 - (1.0 - 0.3)]]
+        assert res.value == pytest.approx(0.7 * math.log(0.7) + 0.3, rel=0.0, abs=1e-13)
+        assert res.truncation > 0.0
+
+    def test_unbounded_axes_keep_their_truncation(self):
+        # One unbounded marginal keeps the coupled axis, and its own nested axis, on [eps, 1 - eps].
+        for fx, fy in ((E1, Bernoulli(0.4)), (Bernoulli(0.4), E1)):
+            for compute in (comonotonic_expectation, countermonotonic_expectation, independent_expectation):
+                assert compute(builtin("product"), fx, fy).truncation > 0.0
 
 
 class TestBounds:

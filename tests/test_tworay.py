@@ -9,7 +9,9 @@ import pytest
 from depbound.errors import NumericalError
 from depbound.tworay import (
     EnvelopeError,
+    MomentError,
     TwoRayGeometry,
+    empirical_correlation,
     envelope,
     envelope_correlation,
     envelope_trace,
@@ -174,3 +176,19 @@ class TestNonFiniteEnvelope:
         assert np.isfinite(x1).all() and np.isfinite(x2).all()
         with pytest.raises(EnvelopeError, match=f"at distance {re.escape(repr(float(first)))}$"):
             envelope_trace(geom, d)
+
+    def test_envelope_range_is_inf_without_an_overflow_error(self):
+        # Squaring the Python floats raised OverflowError.
+        assert _mast(dh=0.05, a1=1e200, a2=1e200).envelope_range() == (0.0, math.inf)
+        assert _mast(dh=0.05, a1=1e200, a2=0.0).envelope_range() == (math.inf, math.inf)
+        assert _mast(dh=0.05).envelope_range() == (0.25, 2.25)
+
+    def test_overflowing_moments_are_numerical_error(self):
+        # Finite envelopes whose squared deviations overflow: a NumericalError,
+        # still a ValueError for callers that caught the old type.
+        geom = _mast(dh=0.05, a1=5e153, a2=5e153)
+        with pytest.raises(MomentError, match="^moments do not fit a float: ") as info:
+            envelope_correlation(geom, 20.0, 50.0, 1_000)
+        assert isinstance(info.value, NumericalError) and isinstance(info.value, ValueError)
+        with pytest.raises(MomentError):
+            empirical_correlation(1e200 * np.arange(5.0), np.arange(5.0))
