@@ -42,8 +42,6 @@ DEFAULT_SEED = 1729
 _MAX_POINTS = 1_000_000
 # The short ``mc --coupling`` flags and the sampler's coupling each names.
 _COUPLING_FLAGS = {"co": "comonotonic", "counter": "countermonotonic", "ind": "independent"}
-# How far ``collision --p11`` may sit outside its feasible range.
-_P11_SLACK = 1e-12
 # Bytes compared at a time when checking whether an output file already
 # holds what would be written.
 _COMPARE_BLOCK = 1 << 20
@@ -274,12 +272,10 @@ def _cmd_monge(args):
 def _cmd_collision(args):
     """Each user picks resource one with probability p_i; a slot succeeds when they differ.
 
-    X ~ Bernoulli(1 - p1) and Y ~ Bernoulli(1 - p2) mark the picks of
-    resource two, so success is E[x + y - 2xy], submodular, and p11 =
-    P(both on resource two) is E[xy], supermodular: the comonotonic
-    coupling gives the lowest success and the highest p11.  Success and
-    the picks' correlation are linear in p11.
-    """
+    X ~ Bernoulli(1 - p1) and Y ~ Bernoulli(1 - p2) mark the picks of resource two, so success
+    is E[x + y - 2xy], submodular, and p11 = P(both on resource two) is E[xy], supermodular: the
+    comonotonic coupling gives the lowest success and the highest p11.  Success and the picks'
+    correlation are linear in p11."""
     from .costs import CostFunction
     from .marginals import Bernoulli
     from .transport import comonotonic_expectation, countermonotonic_expectation, independent_expectation
@@ -295,8 +291,9 @@ def _cmd_collision(args):
     spread = math.sqrt(p1 * q1 * p2 * q2)
 
     def rho(p11):
-        # Undefined when a marginal is degenerate: its pick has zero variance.
-        return None if spread == 0.0 else (p11 - q1 * q2) / spread
+        # Undefined when a marginal is degenerate: its pick has zero variance.  Near a degenerate
+        # one, rounding in p11 swamps a tiny spread, so the ratio is held to [-1, 1].
+        return None if spread == 0.0 else min(max((p11 - q1 * q2) / spread, -1.0), 1.0)
 
     payload = {
         "u_independent": independent_expectation(success, fx, fy).value,
@@ -307,7 +304,7 @@ def _cmd_collision(args):
     }
     if args.p11 is not None:
         p11 = args.p11
-        if not lo - _P11_SLACK <= p11 <= hi + _P11_SLACK:
+        if not lo - 1e-12 <= p11 <= hi + 1e-12:  # the feasible range, with a 1e-12 slack
             raise ValueError(f"p11={p11!r} outside the feasible range [{lo!r}, {hi!r}]")
         payload.update(p11=p11, u=min(max(2.0 - p1 - p2 - 2.0 * p11, 0.0), 1.0), rho=rho(p11))
     return payload, None

@@ -5,9 +5,10 @@ Every family exposes the same small surface: ``cdf``, ``quantile`` and
 cdf levels in (0, 1) where the quantile jumps (none by default), and
 ``bounded``, true when the support is a bounded interval (Uniform and
 Bernoulli), so no tail needs truncating.  The quantile functions are
-the workhorse of the whole package: both the coupling integrals and the Monte Carlo sampler are
-built on ``quantile(u)`` for uniform ``u``, so cdf/quantile round-trips
-have to be tight (1e-9 relative or better away from the support edges).
+the workhorse of the whole package: both the coupling integrals and the
+Monte Carlo sampler are built on ``quantile(u)`` for uniform ``u``, so
+cdf/quantile round-trips have to be tight (1e-9 relative or better away
+from the support edges).
 Draws come from ``sampler.mc_expectation``, which runs its parts on a
 thread pool, so ``quantile`` may be called from two threads at once.
 

@@ -26,7 +26,8 @@ reported as an explicit truncation bound eps * (|f(eps)| + |f(1 - eps)|)
 instead of being silently dropped; a quantile that overflows at eps or
 1 - eps raises ``QuadratureError`` before any pass.  An axis whose
 marginals are all ``bounded`` (Uniform, Bernoulli) has no tail: it runs
-over [0, 1] and reports zero truncation.  The tolerances, eps and the
+over [0, 1] and reports zero truncation, and a node or its image 1 - u
+that rounds onto 0 or 1 reads the nearest float inside.  The tolerances, eps and the
 budget are fixed module constants; no caller sets them.
 """
 
@@ -248,22 +249,26 @@ def _breaks(marginal):
     return getattr(marginal, "breakpoints", ())
 
 
-def _start_panels(n, cuts, bounded):
-    """First panels (lo, hi, owner) of ``n`` integrands on (0, 1), cut at ``cuts``.
+def _axis(*marginals):
+    """(quantiles, bounded) of the marginals on one axis, bounded when each is (a duck-typed one
+    is not).  A bounded axis runs over [0, 1], where a node or its image 1 - u can round onto an
+    end; its quantiles read an argument of 0 or 1 as the nearest float inside."""
+    if not all(getattr(m, "bounded", False) for m in marginals):
+        return [m.quantile for m in marginals], False
+    return [lambda u, q=m.quantile: q(np.clip(u, 5e-324, 1.0 - 2.0**-53)) for m in marginals], True
 
-    A bounded axis runs over [0, 1] itself, an unbounded one over
-    [eps, 1 - eps]; a cut outside that range is dropped.
-    """
+
+def _start_panels(n, cuts, bounded):
+    """First panels (lo, hi, owner) of ``n`` integrands on [0, 1] if ``bounded``, else on
+    [eps, 1 - eps], cut at the ``cuts`` inside."""
     eps = 0.0 if bounded else _EPS
     edges = np.array([eps, *sorted({float(c) for c in cuts if eps < c < 1.0 - eps}), 1.0 - eps])
     return np.tile(edges[:-1], n), np.tile(edges[1:], n), np.arange(n).repeat(edges.size - 1)
 
 
 def _unit_rows(f, n_rows, cuts=(), bounded=False):
-    """Integrate ``n_rows`` integrands ``f(u, which)`` over (0, 1), each on its own budget.
-
-    Each starts on the panels between ``cuts``.  A ``bounded`` integrand
-    runs over [0, 1] and reports no truncation."""
+    """Integrate ``n_rows`` integrands ``f(u, which)`` over (0, 1), each on its own budget, from
+    the panels between ``cuts``; a ``bounded`` integrand runs over [0, 1] with no truncation."""
     eps = _EPS
     idx = np.arange(n_rows)
     lo, hi, owner = _start_panels(n_rows, cuts, bounded)
@@ -311,10 +316,10 @@ def _coupled_rows(costs, fx, fy, coupling):
     """Expectations of ``costs`` under the map ``COUPLING_MAPS[coupling]``."""
     _edge_quantiles(fx, "X")
     _edge_quantiles(fy, "Y")
-    qx, qy, t, cost = fx.quantile, fy.quantile, COUPLING_MAPS[coupling], _row_cost(costs)
+    t, cost = COUPLING_MAPS[coupling], _row_cost(costs)
     # Y = qy(t(u)) jumps where t(u) is a breakpoint b of Y: at u = t(b), as t is its own inverse.
     cuts = [*_breaks(fx), *map(t, _breaks(fy))]
-    bounded = getattr(fx, "bounded", False) and getattr(fy, "bounded", False)
+    (qx, qy), bounded = _axis(fx, fy)
     return _unit_rows(lambda u, which: cost(which, qx(u), qy(t(u))), len(costs), cuts, bounded)
 
 
@@ -332,8 +337,8 @@ def _independent_rows(costs, fx, fy):
     """Independent expectations of ``costs``: one outer and one inner worklist for all."""
     _edge_quantiles(fx, "X")
     y_edges = _edge_quantiles(fy, "Y")
-    qx, qy, cost = fx.quantile, fy.quantile, _row_cost(costs)
-    eps, y_bounded = _EPS, getattr(fy, "bounded", False)
+    eps, cost = _EPS, _row_cost(costs)
+    ((qx,), x_bounded), ((qy,), y_bounded) = _axis(fx), _axis(fy)
     inner_err, inner_trunc = np.zeros((2, len(costs)))
 
     def outer(u, which):
@@ -354,7 +359,7 @@ def _independent_rows(costs, fx, fy):
             np.maximum.at(inner_trunc, rows, eps * edge)
         return vals.reshape(u.shape)
 
-    outer_rows = _unit_rows(outer, len(costs), _breaks(fx), getattr(fx, "bounded", False))
+    outer_rows = _unit_rows(outer, len(costs), _breaks(fx), x_bounded)
     outers = zip(outer_rows, inner_err.tolist(), inner_trunc.tolist())
     return [Expectation(r.value, r.error + err + trunc, r.truncation + trunc) for r, err, trunc in outers]
 

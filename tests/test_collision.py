@@ -29,7 +29,8 @@ def _closed_form(p1, p2):
         return min(max(2.0 - p1 - p2 - 2.0 * p11, 0.0), 1.0)
 
     def rho(p11):
-        return (p11 - q1 * q2) / spread
+        # Held to [-1, 1] as u is to [0, 1]: at p1 = 0.05, p2 = 0.95 it reads -1.0000000000000004.
+        return min(max((p11 - q1 * q2) / spread, -1.0), 1.0)
 
     payload = {"u_independent": p1 * q2 + q1 * p2, "p11_range": [lo, hi], "u_range": [u(hi), u(lo)],
                "rho_range": None if spread == 0.0 else [rho(lo), rho(hi)]}
@@ -86,6 +87,10 @@ class TestPointFormulas:
 
 class TestAnalyze:
     def test_result_schema(self, capsys):
+        doc = _collision(0.5, 0.5)
+        assert doc["u_range"] == [0.0, 1.0]
+        assert doc["rho_range"] == [-1.0, 1.0]
+        assert doc["u_independent"] == pytest.approx(0.5)
         assert cli.run(_argv(0.5, 0.5)) == 0
         printed = capsys.readouterr().out
         assert printed == '{"u_independent": 0.5, "p11_range": [0.0, 0.5], "u_range": [0.0, 1.0], ' \
@@ -111,7 +116,7 @@ class TestAnalyze:
 
     def test_monotone_structure_randomized(self):
         rng = np.random.default_rng(60601)
-        for _ in range(200):
+        for _ in range(1_000):
             p1, p2 = (float(p) for p in rng.uniform(0.01, 0.99, size=2))
             doc = _collision(p1, p2)
             lo, hi = doc["p11_range"]
@@ -181,6 +186,22 @@ class TestGrid:
                     assert doc["rho"] == (None if spread == 0.0 else rho(p11))
                 assert cli.run(_argv(p1, p2, p11)) == 0
                 assert capsys.readouterr().err == ""
+
+    def test_loads_within_rounding_of_an_end(self, capsys):
+        # Such a load puts a cut within 1e-15 of 0 or 1, and near a degenerate marginal the
+        # rounding in p11 swamps the spread of the picks, so rho is held to [-1, 1].
+        near = [1e-200, 1e-17, 1e-15, 1.0 - 1e-15, 0.9999999999999999]
+        for p1 in near:
+            for p2 in GRID + near:
+                oracle, _, _ = _closed_form(p1, p2)
+                doc = _collision(p1, p2)
+                for key in ("u_independent", "p11_range", "u_range"):
+                    assert doc[key] == pytest.approx(oracle[key], rel=0.0, abs=1e-15), (p1, p2, key)
+                assert doc["rho_range"] is None or all(-1.0 <= r <= 1.0 for r in doc["rho_range"]), (p1, p2)
+                assert cli.run(_argv(p1, p2)) == 0
+                assert capsys.readouterr().err == ""
+        # 1 - 1e-200 is 1.0: X is constant, so every coupling has p11 = q2 and the picks are uncorrelated.
+        assert _collision(1e-200, 0.5)["rho_range"] == [0.0, 0.0]
 
     def test_equal_loads_never_collide_comonotonically(self):
         # The closed form printed 1.11022302463e-16 here for an exact 0:

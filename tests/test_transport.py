@@ -336,6 +336,18 @@ class TestBreakpoints:
         assert res.value == pytest.approx(0.7 * math.log(0.7) + 0.3, rel=0.0, abs=1e-13)
         assert res.truncation > 0.0
 
+    @pytest.mark.parametrize("px", [1e-15, 1.0 - 1e-15])
+    def test_steps_next_to_the_ends_of_a_bounded_axis(self, px):
+        # A cut at 1e-15 or 1 - 1e-15 leaves a panel whose nodes, or their images 1 - u,
+        # round onto 0 or 1; the quantile there reads the nearest float inside (0, 1).
+        fx, fy, cost = Bernoulli(px), Bernoulli(0.5), builtin("product")
+        expected = {comonotonic_expectation: min(px, 0.5), countermonotonic_expectation: max(0.0, px - 0.5),
+                    independent_expectation: 0.5 * px}
+        for compute, value in expected.items():
+            for x, y in ((fx, fy), (fy, fx)):
+                res = compute(cost, x, y)
+                assert (res.value, res.truncation) == (pytest.approx(value, rel=0.0, abs=1e-15), 0.0)
+
     def test_unbounded_axes_keep_their_truncation(self):
         # One unbounded marginal keeps the coupled axis, and its own nested axis, on [eps, 1 - eps].
         for fx, fy in ((E1, Bernoulli(0.4)), (Bernoulli(0.4), E1)):
