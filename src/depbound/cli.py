@@ -273,12 +273,11 @@ def _cmd_collision(args):
     """Each user picks resource one with probability p_i; a slot succeeds when they differ.
 
     X ~ Bernoulli(1 - p1) and Y ~ Bernoulli(1 - p2) mark the picks of resource two, so success
-    is E[x + y - 2xy], submodular, and p11 = P(both on resource two) is E[xy], supermodular: the
-    comonotonic coupling gives the lowest success and the highest p11.  Success and the picks'
-    correlation are linear in p11."""
+    is E[x + y - 2xy] and p11 = P(both on resource two) is E[xy], each bounded by
+    ``classified_bounds``.  Success and the picks' correlation are linear in p11."""
     from .costs import CostFunction
     from .marginals import Bernoulli
-    from .transport import comonotonic_expectation, countermonotonic_expectation, independent_expectation
+    from .transport import classified_bounds
     p1, p2 = args.p1, args.p2
     for label, p in (("p1", p1), ("p2", p2)):
         if not 0.0 <= p <= 1.0:
@@ -286,8 +285,9 @@ def _cmd_collision(args):
     q1, q2 = 1.0 - p1, 1.0 - p2
     fx, fy = Bernoulli(q1), Bernoulli(q2)
     success = CostFunction("success", lambda x, y: x + y - 2.0 * x * y)
-    both = builtin("product")
-    lo, hi = countermonotonic_expectation(both, fx, fy).value, comonotonic_expectation(both, fx, fy).value
+    success = classified_bounds(success, fx, fy, include_independent=True)
+    both = classified_bounds(builtin("product"), fx, fy)
+    lo, hi = both.lower, both.upper
     spread = math.sqrt(p1 * q1 * p2 * q2)
 
     def rho(p11):
@@ -296,10 +296,9 @@ def _cmd_collision(args):
         return None if spread == 0.0 else min(max((p11 - q1 * q2) / spread, -1.0), 1.0)
 
     payload = {
-        "u_independent": independent_expectation(success, fx, fy).value,
+        "u_independent": success.independent,
         "p11_range": [lo, hi],
-        "u_range": [comonotonic_expectation(success, fx, fy).value,
-                    countermonotonic_expectation(success, fx, fy).value],
+        "u_range": [success.lower, success.upper],
         "rho_range": None if spread == 0.0 else [rho(lo), rho(hi)],
     }
     if args.p11 is not None:

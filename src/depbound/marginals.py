@@ -3,8 +3,8 @@
 Every family exposes the same small surface: ``cdf``, ``quantile`` and
 ``mean``, plus two attributes the quadrature reads: ``breakpoints``, the
 cdf levels in (0, 1) where the quantile jumps (none by default), and
-``bounded``, true when the support is a bounded interval (Uniform and
-Bernoulli), so no tail needs truncating.  The quantile functions are
+``support``, the bounded interval (low, high) that holds all the mass
+(Uniform and Bernoulli; None by default), so no tail needs truncating.  The quantile functions are
 the workhorse of the whole package: both the coupling integrals and the
 Monte Carlo sampler are built on ``quantile(u)`` for uniform ``u``, so
 cdf/quantile round-trips have to be tight (1e-9 relative or better away
@@ -60,7 +60,7 @@ class Marginal:
 
     name = "marginal"
     breakpoints = ()
-    bounded = False
+    support = None
 
     def cdf(self, x):
         """P(X <= x).  Defined on all finite reals; 0 below the support."""
@@ -111,18 +111,21 @@ class Exponential(Marginal):
 
 @dataclass(frozen=True)
 class Uniform(Marginal):
-    """Uniform on the closed interval [low, high]."""
+    """Uniform on the closed interval [low, high], its ``support`` unless high - low overflows."""
 
     low: float
     high: float
     name = "uniform"
-    bounded = True
 
     def __post_init__(self):
         if not (math.isfinite(self.low) and math.isfinite(self.high)):
             raise ValueError("uniform: bounds must be finite")
         if not self.low < self.high:
             raise ValueError(f"uniform: need low < high, got [{self.low}, {self.high}]")
+
+    @property
+    def support(self):
+        return (self.low, self.high) if math.isfinite(self.high - self.low) else None
 
     def _cdf(self, x):
         return np.clip((x - self.low) / (self.high - self.low), 0.0, 1.0)
@@ -283,7 +286,7 @@ class Bernoulli(Marginal):
 
     p: float
     name = "bernoulli"
-    bounded = True
+    support = (0.0, 1.0)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:

@@ -25,9 +25,9 @@ Endpoints are truncated to [eps, 1 - eps] and the discarded tails are
 reported as an explicit truncation bound eps * (|f(eps)| + |f(1 - eps)|)
 instead of being silently dropped; a quantile that overflows at eps or
 1 - eps raises ``QuadratureError`` before any pass.  An axis whose
-marginals are all ``bounded`` (Uniform, Bernoulli) has no tail: it runs
-over [0, 1] and reports zero truncation, and a node or its image 1 - u
-that rounds onto 0 or 1 reads the nearest float inside.  The tolerances, eps and the
+marginals all have a ``support`` (Uniform, Bernoulli) has no tail: it
+runs over [0, 1] and reports zero truncation, and a node or its image
+1 - u that rounds onto 0 or 1 reads the nearest float inside.  The tolerances, eps and the
 budget are fixed module constants; no caller sets them.
 """
 
@@ -250,10 +250,10 @@ def _breaks(marginal):
 
 
 def _axis(*marginals):
-    """(quantiles, bounded) of the marginals on one axis, bounded when each is (a duck-typed one
-    is not).  A bounded axis runs over [0, 1], where a node or its image 1 - u can round onto an
-    end; its quantiles read an argument of 0 or 1 as the nearest float inside."""
-    if not all(getattr(m, "bounded", False) for m in marginals):
+    """(quantiles, bounded) of the marginals on one axis, bounded when each has a ``support`` (a
+    duck-typed one has none).  A bounded axis runs over [0, 1], where a node or its image 1 - u can
+    round onto an end; its quantiles read an argument of 0 or 1 as the nearest float inside."""
+    if not all(getattr(m, "support", None) is not None for m in marginals):
         return [m.quantile for m in marginals], False
     return [lambda u, q=m.quantile: q(np.clip(u, 5e-324, 1.0 - 2.0**-53)) for m in marginals], True
 
@@ -441,18 +441,16 @@ def bounds(cost, fx, fy, report, include_independent=False):
 def working_domain(fx, fy):
     """Classification box (x0, x1, y0, y1) covering both marginals.
 
-    Essentially the full support, edges trimmed at the 1e-4 quantile
-    level to keep extents finite for heavy tails.  A marginal whose
-    trimmed edge still overflows raises ``ClassificationError``: no grid
-    on an infinite box can certify the cost's structure.
+    A marginal with a ``support`` (Uniform, Bernoulli) puts that interval
+    in the box, as its own axis integrates all of [0, 1].  Any other
+    marginal's edges are its quantiles at the 1e-4 levels, trimmed to
+    keep extents finite for heavy tails.  A marginal whose trimmed edge
+    still overflows raises ``ClassificationError``: no grid on an
+    infinite box can certify the cost's structure.
     """
     with np.errstate(over="ignore"):
-        box = (
-            float(fx.quantile(1e-4)),
-            float(fx.quantile(1.0 - 1e-4)),
-            float(fy.quantile(1e-4)),
-            float(fy.quantile(1.0 - 1e-4)),
-        )
+        box = tuple(float(v) for m in (fx, fy)
+                    for v in getattr(m, "support", None) or (m.quantile(1e-4), m.quantile(1.0 - 1e-4)))
     if not np.all(np.isfinite(box)):
         raise ClassificationError(
             f"classification box {box!r} is not finite; the marginals overflow "

@@ -660,19 +660,25 @@ class TestSubprocess:
         assert path.read_bytes() == written
 
     @pytest.mark.parametrize("argv", [
-        ["bounds", "--cost", "product"],
-        ["sweep", "--cost", "mac_rate1", "--range", "0:10:10"],
-    ], ids=["bounds", "sweep"])
+        ["bounds", "--cost", "product", "--fx", "lognormal:0,400"],
+        ["sweep", "--cost", "mac_rate1", "--range", "0:10:10", "--fx", "lognormal:0,400"],
+        ["bounds", "--cost", "product", "--fx", "uniform:-1e308,1e308"],
+    ], ids=["bounds", "sweep", "bounds-uniform"])
     def test_overflowing_working_box_is_numerical_error(self, argv):
-        # lognormal:0,400 overflows at its upper 1e-4 quantile, so no
-        # classification grid exists: one typed error, no leaked warning.
-        res = self._invoke([*argv, "--fx", "lognormal:0,400", "--fy", "exp:1"])
+        # lognormal:0,400 overflows at its upper 1e-4 quantile, and the
+        # width of uniform:-1e308,1e308 overflows, so no classification
+        # grid exists: one typed error, no leaked warning.
+        res = self._invoke([*argv, "--fy", "exp:1"])
         assert res.returncode == 2
         assert res.stdout == b""
         err = res.stderr.decode()
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Warning" not in err
+        if "uniform:-1e308,1e308" in argv:
+            from depbound.marginals import Exponential
+            box = (math.inf, math.inf, Exponential(1.0).quantile(1e-4), Exponential(1.0).quantile(1.0 - 1e-4))
+            assert err == f"error: classification box {box!r} is not finite; the marginals overflow at the 1e-4 quantile level\n"
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--cost", "product", "--fx", "lognormal:0,150", "--fy", "exp:1"],

@@ -176,7 +176,7 @@ def test_invalid_parameters_raise(bad):
 
 def test_bernoulli_steps_at_its_breakpoint():
     b = Bernoulli(0.3)
-    assert b.breakpoints == (0.7,) and b.bounded and b.mean() == 0.3
+    assert b.breakpoints == (0.7,) and b.support == (0.0, 1.0) and b.mean() == 0.3
     assert b.quantile(np.array([1e-12, 0.7, np.nextafter(0.7, 1.0), 1.0 - 1e-12])).tolist() == [0, 0, 1, 1]
     assert b.cdf(np.array([-1.0, 0.0, 0.5, 1.0, 3.0])).tolist() == [0.0, 0.7, 0.7, 1.0, 1.0]
     assert isinstance(b.quantile(0.5), float)

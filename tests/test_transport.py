@@ -284,7 +284,8 @@ class TestBreakpoints:
         assert len(passes) > 20
         assert abs(chased.value - (0.7 - eps)) > 1e-9
 
-    @pytest.mark.parametrize("px, py", [(0.3, 0.6), (0.9, 0.5), (0.25, 0.25), (0.0, 0.4), (1.0, 0.7), (0.5, 1.0)])
+    @pytest.mark.parametrize("px, py", [(0.3, 0.6), (0.9, 0.5), (0.25, 0.25), (0.0, 0.4), (1.0, 0.7), (0.5, 1.0),
+                                        (1e-5, 0.5), (1.0 - 1e-5, 0.5)])
     def test_builtins_on_bernoulli_pairs_are_two_point_sums(self, px, py):
         fx, fy = Bernoulli(px), Bernoulli(py)
         both = {
@@ -299,12 +300,26 @@ class TestBreakpoints:
         }
         for name in ("sinr", "mac_rate1", "sum_rate", "secret_key", "prop_fair", "product", "additive"):
             cost = builtin(name, s=0.5) if name == "mac_rate1" else builtin(name)
+            sums = {}
             for coupling, p11 in both.items():
                 law = {(1.0, 1.0): p11, (1.0, 0.0): px - p11, (0.0, 1.0): py - p11, (0.0, 0.0): 1.0 - px - py + p11}
-                expected = sum(p * float(cost(x, y)) for (x, y), p in law.items())
+                sums[coupling] = expected = sum(p * float(cost(x, y)) for (x, y), p in law.items())
                 res = compute[coupling](cost, fx, fy)
                 assert res.value == pytest.approx(expected, rel=1e-12, abs=1e-15), (name, coupling)
                 assert res.truncation == 0.0
+            # The classify-then-bound path takes the monotone couplings' sums as its ends.
+            res = classified_bounds(cost, fx, fy, include_independent=True)
+            ends = sorted((sums["comonotonic"], sums["countermonotonic"]))
+            assert [res.lower, res.upper, res.independent] == pytest.approx(
+                [*ends, sums["independent"]], rel=1e-12, abs=1e-15), name
+            assert res.truncation_bound == 0.0
+        # A sweep over a Bernoulli pair is its rows' classified bounds.
+        rows = bounds_sweep(lambda s: builtin("mac_rate1", s=s), [0.1, 0.5, 2.0], fx, fy)
+        for row in rows:
+            alone = classified_bounds(builtin("mac_rate1", s=row.param), fx, fy, include_independent=True)
+            assert row.result.classification_used == alone.classification_used == "submodular"
+            got = [row.result.lower, row.result.upper, row.result.independent]
+            assert got == pytest.approx([alone.lower, alone.upper, alone.independent], rel=1e-12, abs=1e-15)
 
     def test_uniform_product_closed_forms_without_truncation(self):
         a, b, c, d = 0.5, 2.0, 1.0, 4.0
@@ -319,6 +334,9 @@ class TestBreakpoints:
         assert res.lower == pytest.approx(counter, rel=1e-14)
         assert res.independent == pytest.approx((a + b) / 2 * (c + d) / 2, rel=1e-14)
         assert res.truncation_bound == 0.0
+        # A marginal with a support puts all of it into the classification box, a step quantile too.
+        for p in (0.0, 1e-5, 0.5, 1.0 - 1e-5, 1.0):
+            assert working_domain(Uniform(a, b), Bernoulli(p)) == (a, b, 0.0, 1.0)
 
     def test_countermonotonic_cut_is_at_one_minus_the_breakpoint(self, monkeypatch):
         # Y = qy(1 - u) steps where 1 - u = 0.7, at u = 0.3, so
