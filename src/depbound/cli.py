@@ -284,8 +284,8 @@ def _cmd_collision(args):
             raise ValueError(f"{label} must be a probability in [0, 1], got {p!r}")
     q1, q2 = 1.0 - p1, 1.0 - p2
     fx, fy = Bernoulli(q1), Bernoulli(q2)
-    success = CostFunction("success", lambda x, y: x + y - 2.0 * x * y)
-    success = classified_bounds(success, fx, fy, include_independent=True)
+    cost = CostFunction("success", lambda x, y: x + y - 2.0 * x * y)
+    success = classified_bounds(cost, fx, fy, include_independent=True)
     both = classified_bounds(builtin("product"), fx, fy)
     lo, hi = both.lower, both.upper
     spread = math.sqrt(p1 * q1 * p2 * q2)

@@ -3,12 +3,12 @@
 Every family exposes the same small surface: ``cdf``, ``quantile`` and
 ``mean``, plus two attributes the quadrature reads: ``breakpoints``, the
 cdf levels in (0, 1) where the quantile jumps (none by default), and
-``support``, the bounded interval (low, high) that holds all the mass
-(Uniform and Bernoulli; None by default), so no tail needs truncating.  The quantile functions are
-the workhorse of the whole package: both the coupling integrals and the
-Monte Carlo sampler are built on ``quantile(u)`` for uniform ``u``, so
-cdf/quantile round-trips have to be tight (1e-9 relative or better away
-from the support edges).
+``support``, a bounded interval (low, high) holding all the mass (Uniform,
+Bernoulli; None by default), so no tail needs truncating.  The quantile
+functions are the workhorse of the whole package: both the coupling
+integrals and the Monte Carlo sampler are built on ``quantile(u)`` for
+uniform ``u``, so cdf/quantile round-trips have to be tight (1e-9
+relative or better away from the support edges).
 Draws come from ``sampler.mc_expectation``, which runs its parts on a
 thread pool, so ``quantile`` may be called from two threads at once.
 
