@@ -259,8 +259,7 @@ def _cmd_monge(args):
     except ValueError:
         raise _UsageError(f"domain must be x0,x1,y0,y1, got {args.domain!r}") from None
     check = check_cross_difference if args.method == "cross" else check_mixed_partial
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    report = check(cost, domain, n=args.grid, **kwargs)
+    report = check(cost, domain, n=args.grid)
     payload = {
         "classification": report.classification,
         "max_violation": report.max_violation,
@@ -402,7 +401,6 @@ def build_parser():
     p.add_argument("--domain", required=True, metavar="X0,X1,Y0,Y1")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--method", choices=("cross", "partial"), default="cross")
-    p.add_argument("--tol", type=float, default=None)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_monge)
 

@@ -121,13 +121,12 @@ def _make_sum_rate():
 
 def _make_secret_key():
     # log2((1+x+y)/(1+y)): what the pair can agree on minus what the
-    # second channel leaks.  Same mixed partial as sum_rate.
-    def fn(x, y):
-        return (np.log1p(x + y) - np.log1p(y)) / _LN2
-
+    # second channel leaks.  Written as log1p(x/(1+y)), not a difference
+    # of two logs, which cancels every digit when x << y.  Same mixed
+    # partial as sum_rate.
     return CostFunction(
         name="secret_key",
-        fn=fn,
+        fn=lambda x, y: np.log1p(x / (1.0 + y)) / _LN2,
         mixed_partial=lambda x, y: -1.0 / ((1.0 + x + y) ** 2 * _LN2),
     )
 

@@ -8,7 +8,10 @@ grid.  Two independent routes are provided, sign checks on the
 cross-difference and sign checks on the mixed partial d2c/dxdy
 (analytic when the cost carries one, centered finite differences
 otherwise).  Downstream bound construction refuses to run unless one of
-these produced a usable classification.
+these produced a usable classification.  A four-term difference d of
+costs z has a sign only where |d| > _ROUNDING * sum |z|, its own rounding
+bound (Higham 2002, section 4.2), so no verdict depends on the cost's
+units; an analytic partial is judged by its exact sign.
 """
 
 from __future__ import annotations
@@ -24,20 +27,15 @@ __all__ = [
     "ClassificationError",
     "check_cross_difference",
     "check_mixed_partial",
-    "CROSS_DIFFERENCE_TOL",
-    "MIXED_PARTIAL_TOL",
 ]
 
 
 class ClassificationError(NumericalError):
     """No usable lattice classification could be established."""
 
-CROSS_DIFFERENCE_TOL = 1e-9
-MIXED_PARTIAL_TOL = 1e-6
-
-# Fraction of cells allowed to disagree in sign before a mixed-sign grid
-# is called genuinely "neither" instead of noise-level "indeterminate".
-_SPARSE_FRACTION = 1e-3
+# Relative rounding of a four-term difference: three additions plus a few
+# ulps in each cost evaluation.
+_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -45,10 +43,10 @@ class MongeReport:
     """Outcome of a lattice check on one rectangular grid.
 
     classification
-        One of ``submodular``, ``supermodular``, ``modular``, ``neither``,
-        ``indeterminate``.  ``indeterminate`` means both signs appeared
-        but the minority sign touched fewer than 0.1% of cells, which is
-        the signature of tolerance-level noise rather than structure.
+        One of ``submodular``, ``supermodular``, ``modular``, ``neither``.
+        A cell whose value lies within its rounding bound has no sign;
+        ``modular`` means no cell has one, ``neither`` that both signs
+        appear.
     max_violation
         Largest excursion outside the region consistent with the
         reported class (0 for a clean one-sided pass; for mixed-sign
@@ -56,7 +54,9 @@ class MongeReport:
         the best one-sided hypothesis misses).
     violation_count
         Number of offending cells: 0 for the three clean classes, the
-        minority-sign cell count for ``neither``/``indeterminate``.
+        minority-sign cell count for ``neither``.
+    tolerance
+        Largest rounding bound on the grid (0 for an analytic partial).
     """
 
     classification: str
@@ -68,9 +68,7 @@ class MongeReport:
     method: str
 
 
-def _validate_grid(domain, n, tol):
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+def _validate_grid(domain, n):
     try:
         x0, x1, y0, y1 = (float(v) for v in domain)
     except (TypeError, ValueError):
@@ -83,88 +81,91 @@ def _validate_grid(domain, n, tol):
     return (x0, x1, y0, y1), n
 
 
-def _classify(values, tol, domain, n, method):
-    flat = np.asarray(values, dtype=float).ravel()
-    if not np.all(np.isfinite(flat)):
+def _classify(values, bound, domain, n, method):
+    """Label the grid by the signs of ``values`` that exceed ``bound`` (per cell or scalar)."""
+    values = np.asarray(values, dtype=float)
+    tolerance = float(np.max(bound))
+    if not (np.all(np.isfinite(values)) and np.isfinite(tolerance)):
         raise ClassificationError(
             f"{method}: cost evaluations overflow on this domain; no classification possible"
         )
-    positive = flat > tol
-    negative = flat < -tol
-    npos = int(np.count_nonzero(positive))
-    nneg = int(np.count_nonzero(negative))
+    npos = int(np.count_nonzero(values > bound))
+    nneg = int(np.count_nonzero(values < -bound))
 
     if npos == 0 and nneg == 0:
         label = "modular"
-        worst = float(np.max(np.abs(flat))) if flat.size else 0.0
+        worst = float(np.max(np.abs(values))) if values.size else 0.0
         count = 0
     elif npos == 0:
         label = "submodular"
-        worst = float(max(np.max(flat), 0.0))
+        worst = float(max(np.max(values), 0.0))
         count = 0
     elif nneg == 0:
         label = "supermodular"
-        worst = float(max(-np.min(flat), 0.0))
+        worst = float(max(-np.min(values), 0.0))
         count = 0
     else:
-        minority = min(npos, nneg)
-        label = "indeterminate" if minority < _SPARSE_FRACTION * flat.size else "neither"
+        label = "neither"
         # Best one-sided hypothesis: excursion of whichever sign is rarer.
-        worst = float(min(np.max(flat), -np.min(flat)))
-        count = minority
+        worst = float(min(np.max(values), -np.min(values)))
+        count = min(npos, nneg)
     return MongeReport(
         classification=label,
         max_violation=worst,
         violation_count=count,
         domain=domain,
         resolution=n,
-        tolerance=float(tol),
+        tolerance=tolerance,
         method=method,
     )
 
 
-def check_cross_difference(cost, domain, n=64, tol=CROSS_DIFFERENCE_TOL):
+def check_cross_difference(cost, domain, n=64):
     """Classify ``cost`` by the sign of adjacent-cell cross-differences.
 
     For grid points x_i < x_{i+1}, y_j < y_{j+1} the cross-difference is
     c(x_{i+1}, y_{j+1}) + c(x_i, y_j) - c(x_i, y_{j+1}) - c(x_{i+1}, y_j);
-    everywhere <= tol means submodular, everywhere >= -tol supermodular.
+    nowhere above its rounding bound means submodular, nowhere below
+    minus it supermodular.
     """
-    domain, n = _validate_grid(domain, n, tol)
+    domain, n = _validate_grid(domain, n)
     x0, x1, y0, y1 = domain
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z = cost(xs[:, None], ys[None, :])
         d = z[1:, 1:] + z[:-1, :-1] - z[:-1, 1:] - z[1:, :-1]
-    return _classify(d, tol, domain, n, method="cross_difference")
+        a = np.abs(z)
+        a = a[1:] + a[:-1]
+        bound = _ROUNDING * (a[:, 1:] + a[:, :-1])
+    return _classify(d, bound, domain, n, method="cross_difference")
 
 
-def check_mixed_partial(cost, domain, n=64, tol=MIXED_PARTIAL_TOL, step=None):
+def check_mixed_partial(cost, domain, n=64):
     """Classify ``cost`` by the sign of d2c/dxdy on a grid.
 
-    Uses the cost's analytic mixed partial when present, otherwise the
-    centered stencil (c(x+h, y+h) - c(x+h, y-h) - c(x-h, y+h) +
-    c(x-h, y-h)) / (4 h^2) with h = ``step`` (default 1e-4 times the
-    larger domain extent).  The grid is inset by h so the stencil never
-    leaves the domain.
+    Uses the cost's analytic mixed partial when present, judged by its
+    exact sign, otherwise the centered stencil (c(x+h, y+h) - c(x+h, y-h)
+    - c(x-h, y+h) + c(x-h, y-h)) / (4 h^2) with h = 1e-4 times the larger
+    domain extent, judged against its rounding bound.  The grid is inset
+    by h so the stencil never leaves the domain.
     """
-    domain, n = _validate_grid(domain, n, tol)
+    domain, n = _validate_grid(domain, n)
     x0, x1, y0, y1 = domain
-    if cost.mixed_partial is not None and step is None:
+    if cost.mixed_partial is not None:
         xs = np.linspace(x0, x1, n)
         ys = np.linspace(y0, y1, n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             m = cost.cross_partial(xs[:, None], ys[None, :])
-        return _classify(m, tol, domain, n, method="mixed_partial")
+        return _classify(m, 0.0, domain, n, method="mixed_partial")
 
-    h = float(step) if step is not None else 1e-4 * max(x1 - x0, y1 - y0)
+    h = 1e-4 * max(x1 - x0, y1 - y0)
     if not (h > 0.0 and 2.0 * h < min(x1 - x0, y1 - y0)):
         raise ValueError(f"finite-difference step {h!r} does not fit inside the domain")
     xs = np.linspace(x0 + h, x1 - h, n)[:, None]
     ys = np.linspace(y0 + h, y1 - h, n)[None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m = (
-            cost(xs + h, ys + h) - cost(xs + h, ys - h) - cost(xs - h, ys + h) + cost(xs - h, ys - h)
-        ) / (4.0 * h * h)
-    return _classify(m, tol, domain, n, method="mixed_partial_fd")
+        c = (cost(xs + h, ys + h), cost(xs + h, ys - h), cost(xs - h, ys + h), cost(xs - h, ys - h))
+        m = (c[0] - c[1] - c[2] + c[3]) / (4.0 * h * h)
+        bound = _ROUNDING * sum(map(np.abs, c)) / (4.0 * h * h)
+    return _classify(m, bound, domain, n, method="mixed_partial_fd")

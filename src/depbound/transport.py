@@ -477,8 +477,8 @@ def bounds_sweep(cost_factory, params, fx, fy, include_independent=True):
     ``cost_factory(p)`` builds the cost for parameter ``p``, and every
     row's ``fn`` and parameter names must be the first row's, else
     ``ValueError`` before any classification or quadrature.  A
-    neither/indeterminate row aborts the sweep (``ClassificationError``)
-    before any quadrature.  Each coupling's integrals of all rows share
+    ``neither`` row aborts the sweep (``ClassificationError``) before
+    any quadrature.  Each coupling's integrals of all rows share
     one worklist, each row on its own budget, so a row fails as alone;
     a row that runs out of subdivisions is named by its parameter.
     """

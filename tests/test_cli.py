@@ -226,9 +226,11 @@ class TestMonge:
         _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,10,0"], 1)
         _fail(capsys, ["monge", "--cost", "sinr", "--domain", "0,ten,0,10"], 1)
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1e-3"])
     def test_bad_tolerance_is_usage_error(self, capsys, tol):
-        _fail(capsys, ["monge", "--cost", "product", "--domain", "0,1,0,1", f"--tol={tol}"], 1)
+        # Each cell is judged against its own rounding; no tolerance is settable.
+        err = _fail(capsys, ["monge", "--cost", "product", "--domain", "0,1,0,1", f"--tol={tol}"], 1)
+        assert "unrecognized arguments: --tol" in err
 
 
 class TestCollision:
@@ -649,15 +651,20 @@ class TestSubprocess:
 
     def test_quadrature_reruns_are_byte_identical(self, tmp_path):
         # reproduce example1 runs the same bounds and also writes a file.
+        # Rounding in additive's costs near 1e7 once exceeded a fixed
+        # 1e-9 tolerance, so it read "neither" and exited 2.
         path = tmp_path / "example1.json"
         for argv in (["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2", "--independent"],
-                     ["reproduce", "example1", "--out-dir", str(tmp_path)]):
+                     ["reproduce", "example1", "--out-dir", str(tmp_path)],
+                     ["bounds", "--cost", "additive", "--fx", "uniform:0,1e7", "--fy", "uniform:0,1e7"]):
             first = self._invoke(argv)
             written = path.read_bytes() if path.exists() else None
             second = self._invoke(argv)
             assert first.returncode == second.returncode == 0, second.stderr
             assert first.stdout == second.stdout
         assert path.read_bytes() == written
+        doc = json.loads(first.stdout)
+        assert doc["lower"] == doc["upper"] == pytest.approx(1e7, rel=1e-12)
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--cost", "product", "--fx", "lognormal:0,400"],

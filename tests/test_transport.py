@@ -394,6 +394,16 @@ class TestBounds:
         assert res.lower == pytest.approx(countermonotonic_expectation(cost, E1, E1).value, abs=1e-9)
         assert res.upper == pytest.approx(comonotonic_expectation(cost, E1, E1).value, abs=1e-9)
         assert res.lower < res.independent < res.upper
+        # At the 1e-10 scale a fixed 1e-9 tolerance read product as
+        # modular and printed the comonotonic 2e-10 for all three.  The
+        # independent integral stops at the quadrature's absolute tolerance.
+        small = Exponential(1e5)
+        res = classified_bounds(builtin("product"), small, small, include_independent=True)
+        assert res.classification_used == "supermodular"
+        assert res.lower < res.independent < res.upper
+        assert res.lower == pytest.approx((2.0 - math.pi ** 2 / 6.0) * 1e-10, abs=res.lower_err)
+        assert res.upper == pytest.approx(2e-10, abs=res.upper_err)
+        assert res.independent == pytest.approx(1e-10, abs=transport._ABS_TOL)
 
     def test_modular_collapses(self):
         cost = builtin("additive")
