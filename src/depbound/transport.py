@@ -15,8 +15,8 @@ of a sweep at once.  Integrands are evaluated per panel: a pass hands
 them its panels' (P, 15) nodes, and a sweep, one cost function over a
 parameter, costs one cost call per pass.  The 15-point value is kept,
 the |K15 - G7| gap is the panel's error estimate, and a panel is
-bisected while its gap exceeds max(abs_tol, rel_tol * |running total of
-its own integrand|); each row of a sweep has its own subdivision budget.
+bisected while its gap exceeds rel_tol * (the sum of |K15| over its own
+integrand's panels); each row of a sweep has its own subdivision budget.
 Each integrand starts on the panels between its cut points, the
 ``breakpoints`` of its marginals (cdf levels where a quantile steps,
 read through ``getattr``, none by default), with a breakpoint b of Y cut
@@ -27,7 +27,7 @@ instead of being silently dropped; a quantile that overflows at eps or
 1 - eps raises ``QuadratureError`` before any pass.  An axis whose
 marginals all have a ``support`` (Uniform, Bernoulli) has no tail: it
 runs over [0, 1] and reports zero truncation, and a node or its image
-1 - u that rounds onto 0 or 1 reads the nearest float inside.  The tolerances, eps and the
+1 - u that rounds onto 0 or 1 reads the nearest float inside.  The tolerance, eps and the
 budget are fixed module constants; no caller sets them.
 """
 
@@ -71,10 +71,9 @@ class QuadratureError(NumericalError):
         self.row = row
 
 
-# Panel tolerances, the [eps, 1 - eps] truncation and the subdivision budget per
+# Panel tolerance, the [eps, 1 - eps] truncation and the subdivision budget per
 # row.  Read at call time, never bound as defaults, so a test can patch them.
 _REL_TOL = 1e-8
-_ABS_TOL = 1e-12
 _EPS = 1e-9
 _MAX_SUBDIVISIONS = 100_000
 
@@ -177,7 +176,7 @@ def _panel_estimates(f, lo, hi, idx):
     return k15, np.abs(k15 - g7)
 
 
-def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None, owner=None):
+def _gk_worklist(f, lo, hi, rel_tol, group=None, owner=None):
     """Integrate one or more integrands on one worklist; returns (values, errors).
 
     Panel ``k`` is [lo[k], hi[k]] of integrand ``owner[k]``, a
@@ -187,9 +186,11 @@ def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None, owner=None):
     one pass's panels at once: ``points`` is (P, 15), the nodes of a
     panel per row, and ``which`` the (P, 1) column of their integrands,
     so per-integrand data broadcasts over the nodes.  A panel is
-    accepted once its gap is at most max(abs_tol, rel_tol * |running
-    integral of its own integrand|), the running integral being that
-    integrand's accepted value plus its in-flight K15 values.  The rest
+    accepted once its gap is at most rel_tol times its own integrand's
+    mass, the sum of |K15| over that integrand's accepted and in-flight
+    panels (|running total| for an integrand of one sign).  The scale
+    comes from the integrand, so scaling it scales every value and error
+    with it, and an integrand that cancels to 0 still converges.  The rest
     are bisected in place, breadth-first, so ``which`` stays sorted, on
     one ``_MAX_SUBDIVISIONS`` budget per ``group`` label of an integrand
     (one in all).  Running out raises ``QuadratureError`` whose ``row``
@@ -201,13 +202,15 @@ def _gk_worklist(f, lo, hi, rel_tol, abs_tol, group=None, owner=None):
     splits = np.zeros(group.max(initial=0) + 1, dtype=int)
     values = np.zeros(width)
     errors = np.zeros(width)
+    mass = np.zeros(width)
     while lo.size:
         k15, gap = _panel_estimates(f, lo, hi, idx)
-        running = values + np.bincount(idx, k15, minlength=width)
-        done = gap <= np.maximum(abs_tol, rel_tol * np.abs(running[idx]))
+        size = np.abs(k15)
+        done = gap <= rel_tol * (mass + np.bincount(idx, size, minlength=width))[idx]
         closed = idx[done]
         values += np.bincount(closed, k15[done], minlength=width)
         errors += np.bincount(closed, gap[done], minlength=width)
+        mass += np.bincount(closed, size[done], minlength=width)
         keep = ~done
         lo, hi, idx = lo[keep], hi[keep], idx[keep]
         if lo.size == 0:
@@ -238,9 +241,7 @@ def adaptive_quadrature(f, a, b):
         raise ValueError(f"bad integration interval [{a!r}, {b!r}]")
     if a == b:
         return 0.0, 0.0
-    values, errors = _gk_worklist(
-        lambda u, which: f(u.ravel()), np.array([a]), np.array([b]), _REL_TOL, _ABS_TOL
-    )
+    values, errors = _gk_worklist(lambda u, which: f(u.ravel()), np.array([a]), np.array([b]), _REL_TOL)
     return float(values[0]), float(errors[0])
 
 
@@ -272,7 +273,7 @@ def _unit_rows(f, n_rows, cuts=(), bounded=False):
     eps = _EPS
     idx = np.arange(n_rows)
     lo, hi, owner = _start_panels(n_rows, cuts, bounded)
-    values, errors = _gk_worklist(f, lo, hi, _REL_TOL, _ABS_TOL, group=idx, owner=owner)
+    values, errors = _gk_worklist(f, lo, hi, _REL_TOL, group=idx, owner=owner)
     truncation = np.zeros(n_rows)
     if not bounded:
         ends = np.tile([eps, 1.0 - eps], (n_rows, 1))
@@ -348,7 +349,7 @@ def _independent_rows(costs, fx, fy):
         lo, hi, owner = _start_panels(u.size, _breaks(fy), y_bounded)
         vals, errs = _gk_worklist(
             lambda v, inner: cost(rows[inner], x[inner], qy(v)), lo, hi,
-            _REL_TOL * 1e-2, _ABS_TOL * 1e-2, group=rows, owner=owner,
+            _REL_TOL * 1e-2, group=rows, owner=owner,
         )
         np.maximum.at(inner_err, rows, errs)
         if not y_bounded:
