@@ -131,7 +131,7 @@ def _one_row(record):
 
 
 def _parse_range(text, count_means_grid=False):
-    """``start:stop:step`` (or ``start:stop:N`` points when flagged)."""
+    """``start:stop:step``, start + k * step to stop within rounding (or ``start:stop:N`` points when flagged)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"range must be start:stop:{'N' if count_means_grid else 'step'}, got {text!r}")
@@ -154,8 +154,8 @@ def _parse_range(text, count_means_grid=False):
         raise _UsageError(f"range {text!r} has {count:.0f} points; at most {_MAX_POINTS} are allowed")
     if count_means_grid:
         return start, stop, last
-    n = int(round((stop - start) / last))
-    return [start + k * last for k in range(n + 1) if start + k * last <= stop + 1e-12 * max(1.0, abs(stop))]
+    steps = (stop - start) / last + min(1e-12 * (abs(start) + abs(stop)) / last, 0.5)
+    return [start + k * last for k in range(int(steps) + 1)]
 
 
 def _resolve_seed(args):

@@ -1,17 +1,16 @@
 """Lattice-condition checks for bivariate costs.
 
 A cost is submodular when c(x', y') + c(x, y) <= c(x, y') + c(x', y)
-for every x <= x', y <= y'.  On a rectangular grid it is enough to test
-adjacent cells: rectangle inequalities telescope into sums of cell
-inequalities, so a clean pass on every 1-cell rectangle certifies the
-grid.  Two independent routes are provided, sign checks on the
-cross-difference and sign checks on the mixed partial d2c/dxdy
-(analytic when the cost carries one, centered finite differences
-otherwise).  Downstream bound construction refuses to run unless one of
-these produced a usable classification.  A four-term difference d of
-costs z has a sign only where |d| > _ROUNDING * sum |z|, its own rounding
-bound (Higham 2002, section 4.2), so no verdict depends on the cost's
-units; an analytic partial is judged by its exact sign.
+for every x <= x', y <= y'; on a grid, rectangle inequalities telescope
+into adjacent-cell ones.  Two independent routes classify: the
+cross-difference of adjacent grid cells, and the mixed partial d2c/dxdy,
+analytic when the cost carries one and otherwise the same four-term
+difference on a small cell around each grid point.  A four-term
+difference d of costs z has a sign only where |d| > _ROUNDING * sum |z|,
+its own rounding bound (Higham 2002, section 4.2), so no verdict depends
+on the units of the cost or of the box; an analytic partial is judged by
+its exact sign.  Bound construction refuses to run without a usable
+classification.
 """
 
 from __future__ import annotations
@@ -120,6 +119,13 @@ def _classify(values, bound, domain, n, method):
     )
 
 
+def _four_term(z, lo, hi):
+    """Each cell's z11 + z00 - z01 - z10 and its rounding bound, with z11 = z[hi, hi], z00 = z[lo, lo]."""
+    a = np.abs(z)
+    a = a[hi] + a[lo]
+    return z[hi, hi] + z[lo, lo] - z[lo, hi] - z[hi, lo], _ROUNDING * (a[:, hi] + a[:, lo])
+
+
 def check_cross_difference(cost, domain, n=64):
     """Classify ``cost`` by the sign of adjacent-cell cross-differences.
 
@@ -134,10 +140,7 @@ def check_cross_difference(cost, domain, n=64):
     ys = np.linspace(y0, y1, n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z = cost(xs[:, None], ys[None, :])
-        d = z[1:, 1:] + z[:-1, :-1] - z[:-1, 1:] - z[1:, :-1]
-        a = np.abs(z)
-        a = a[1:] + a[:-1]
-        bound = _ROUNDING * (a[:, 1:] + a[:, :-1])
+        d, bound = _four_term(z, slice(None, -1), slice(1, None))
     return _classify(d, bound, domain, n, method="cross_difference")
 
 
@@ -145,10 +148,9 @@ def check_mixed_partial(cost, domain, n=64):
     """Classify ``cost`` by the sign of d2c/dxdy on a grid.
 
     Uses the cost's analytic mixed partial when present, judged by its
-    exact sign, otherwise the centered stencil (c(x+h, y+h) - c(x+h, y-h)
-    - c(x-h, y+h) + c(x-h, y-h)) / (4 h^2) with h = 1e-4 times the larger
-    domain extent, judged against its rounding bound.  The grid is inset
-    by h so the stencil never leaves the domain.
+    exact sign.  Otherwise each point (x, y) of a grid inset by hx = 1e-4
+    (x1 - x0), hy = 1e-4 (y1 - y0) gets the cross-difference of the cell
+    [x - hx, x + hx] x [y - hy, y + hy], whose sign is that of d2c/dxdy.
     """
     domain, n = _validate_grid(domain, n)
     x0, x1, y0, y1 = domain
@@ -159,13 +161,11 @@ def check_mixed_partial(cost, domain, n=64):
             m = cost.cross_partial(xs[:, None], ys[None, :])
         return _classify(m, 0.0, domain, n, method="mixed_partial")
 
-    h = 1e-4 * max(x1 - x0, y1 - y0)
-    if not (h > 0.0 and 2.0 * h < min(x1 - x0, y1 - y0)):
-        raise ValueError(f"finite-difference step {h!r} does not fit inside the domain")
-    xs = np.linspace(x0 + h, x1 - h, n)[:, None]
-    ys = np.linspace(y0 + h, y1 - h, n)[None, :]
+    hx, hy = 1e-4 * (x1 - x0), 1e-4 * (y1 - y0)
+    # Each inset grid point x becomes the pair x - hx, x + hx: even entries pair with odd ones.
+    xs = (np.linspace(x0 + hx, x1 - hx, n)[:, None] + [-hx, hx]).ravel()
+    ys = (np.linspace(y0 + hy, y1 - hy, n)[:, None] + [-hy, hy]).ravel()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = (cost(xs + h, ys + h), cost(xs + h, ys - h), cost(xs - h, ys + h), cost(xs - h, ys - h))
-        m = (c[0] - c[1] - c[2] + c[3]) / (4.0 * h * h)
-        bound = _ROUNDING * sum(map(np.abs, c)) / (4.0 * h * h)
-    return _classify(m, bound, domain, n, method="mixed_partial_fd")
+        z = cost(xs[:, None], ys[None, :])
+        d, bound = _four_term(z, slice(0, None, 2), slice(1, None, 2))
+    return _classify(d, bound, domain, n, method="mixed_partial_fd")

@@ -139,6 +139,15 @@ class TestSweep:
         assert rows[0][0] == "s"
         assert [float(r[0]) for r in rows[1:]] == [0.5, 1.0, 1.5]
 
+    @pytest.mark.parametrize("text", ["1:2:0.28", "0:0.7:0.2", "-1:1:0.3", "0:1:0.1", "-5:20:1"])
+    def test_range_is_counted_in_steps(self, text):
+        # A slack absolute below |stop| = 1 kept s = 2.12e-15 in 1e-15:2e-15:0.28e-15.
+        small = ":".join(f"{v}e-15" for v in text.split(":"))
+        for spec in (text, small):
+            stop = float(spec.split(":")[1])
+            assert all(p <= stop for p in cli._parse_range(spec))
+        assert len(cli._parse_range(small)) == len(cli._parse_range(text))
+
     def test_bad_range_is_usage_error(self, capsys):
         _fail(capsys, ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1",
                        "--range", "5:-5:1"], 1)

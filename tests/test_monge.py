@@ -53,14 +53,22 @@ def test_builtin_classifications(check, name, params, expected):
 
 
 def test_finite_difference_route_agrees_with_analytic():
-    # Force the stencil even when an analytic partial exists; on BOX its
-    # step h is 1e-4 * 10 = 1e-3.
-    for name, params, expected in EXPECTED:
-        for scale in SCALES:
-            cost = _scaled(dataclasses.replace(builtin(name, **params), mixed_partial=None), scale)
-            fd = check_mixed_partial(cost, BOX, n=24)
-            assert fd.classification == expected, (name, scale)
-            assert fd.method == "mixed_partial_fd"
+    # Force the stencil even when an analytic partial exists.  Its step is
+    # 1e-4 of each side, so it fits a box of aspect ratio 1e5 as it fits a
+    # square, and reads the cross route's label there.
+    for box in (BOX, (0.0, 1e5, 0.0, 1.0), (0.0, 1.0, 0.0, 1e5)):
+        for name, params, expected in EXPECTED:
+            for scale in SCALES:
+                cost = _scaled(dataclasses.replace(builtin(name, **params), mixed_partial=None), scale)
+                fd = check_mixed_partial(cost, box, n=24)
+                cross = check_cross_difference(cost, box, n=24)
+                assert fd.classification == cross.classification == expected, (box, name, scale)
+                assert fd.method == "mixed_partial_fd"
+    # Values near 1e-20 on cells of area 4e-328: the stencil needs no 4h^2.
+    big = CostFunction(name="big", fn=lambda x, y: 1e300 * x * y)
+    tiny = (0.0, 1e-160, 0.0, 1e-160)
+    fd = check_mixed_partial(big, tiny, n=24)
+    assert fd.classification == check_cross_difference(big, tiny, n=24).classification == "supermodular"
 
 
 def test_fd_values_match_analytic_values():
@@ -149,13 +157,6 @@ def test_grid_validation(domain, n):
         check_cross_difference(builtin("sinr"), domain, n=n)
 
 
-def test_fd_step_must_fit():
-    # h = 1e-4 * 1e5 = 10, so the stencil's 2h overruns the short side.
-    sinr = dataclasses.replace(builtin("sinr"), mixed_partial=None)
-    with pytest.raises(ValueError, match="does not fit"):
-        check_mixed_partial(sinr, (0.0, 1e5, 0.0, 1.0), n=8)
-
-
 def test_report_records_grid_metadata():
     report = check_cross_difference(builtin("sinr"), BOX, n=16)
     assert report.domain == BOX
@@ -163,3 +164,12 @@ def test_report_records_grid_metadata():
     # The largest cell's rounding bound: sinr peaks at c(10, 0) = 10.
     assert 0.0 < report.tolerance < 8 * np.finfo(float).eps * 4 * 10.0
     assert report.method == "cross_difference"
+
+
+def test_fd_report_is_in_cost_units():
+    # The stencil's cells are four-term differences like the cross route's:
+    # x*y gives 4 hx hy = 4e-7 on (0, 10, 0, 1), with no division by a step.
+    product = dataclasses.replace(builtin("product"), mixed_partial=None)
+    report = check_mixed_partial(product, (0.0, 10.0, 0.0, 1.0), n=16)
+    assert report.classification == "supermodular"
+    assert 0.0 < report.tolerance < 8 * np.finfo(float).eps * 4 * 10.0

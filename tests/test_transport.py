@@ -475,6 +475,25 @@ class TestBounds:
         with pytest.raises(ClassificationError, match="neither"):
             bounds(wave, E1, E2, report)
 
+    @staticmethod
+    def _kinked(scale):
+        # -xy on the 1e-4 classification box of Exp(1)^2, whose top is 9.21; above 9.3 in both
+        # inputs a supermodular term takes over, so the comonotonic lower end lands above the upper.
+        return CostFunction(name="kinked", fn=lambda x, y: scale * (
+            -x * y + 1e5 * np.maximum(x - 9.3, 0.0) * np.maximum(y - 9.3, 0.0)))
+
+    def test_refuses_inverted_bounds(self):
+        # lower 16.27 > upper -0.355: the box reads submodular, the support does not.
+        with pytest.raises(ClassificationError, match="inverted"):
+            classified_bounds(self._kinked(1.0), E1, E1)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15(d): the inversion slack in _bounds_rows is "
+                                           "floored at 1e-12, so an inversion below it is not refused")
+    def test_refuses_inverted_bounds_at_small_scale(self):
+        # The same cost times 1e-14: lower 1.63e-13 > upper -3.55e-15, inside the absolute floor.
+        with pytest.raises(ClassificationError, match="inverted"):
+            classified_bounds(self._kinked(1e-14), E1, E1)
+
     def test_independent_omitted_by_default(self):
         cost = builtin("sinr")
         res = bounds(cost, E1, E2, _classified(cost, E1, E2))
