@@ -302,7 +302,12 @@ def _cmd_collision(args):
     }
     if args.p11 is not None:
         p11 = args.p11
-        if not lo - 1e-12 <= p11 <= hi + 1e-12:  # the feasible range, with a 1e-12 slack
+        # Four units of 2^-53 beyond the ends' error estimates: a p11 worked out in floats, as q1 + q2 - 1
+        # or min(q1, q2), is off the exact end by up to two (1 - p1 and 1 - p2 round by half a unit each,
+        # their sum by one), and a computed end, from rounded q's too, by up to one more on the loads of
+        # tests/test_collision.py.  The fourth unit is a margin on that measured one.
+        slack = 4 * 2.0**-53
+        if not lo - both.lower_err - slack <= p11 <= hi + both.upper_err + slack:
             raise ValueError(f"p11={p11!r} outside the feasible range [{lo!r}, {hi!r}]")
         payload.update(p11=p11, u=min(max(2.0 - p1 - p2 - 2.0 * p11, 0.0), 1.0), rho=rho(p11))
     return payload, None

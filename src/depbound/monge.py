@@ -2,15 +2,14 @@
 
 A cost is submodular when c(x', y') + c(x, y) <= c(x, y') + c(x', y)
 for every x <= x', y <= y'; on a grid, rectangle inequalities telescope
-into adjacent-cell ones.  Two independent routes classify: the
-cross-difference of adjacent grid cells, and the mixed partial d2c/dxdy,
-analytic when the cost carries one and otherwise the same four-term
-difference on a small cell around each grid point.  A four-term
-difference d of costs z has a sign only where |d| > _ROUNDING * sum |z|,
-its own rounding bound (Higham 2002, section 4.2), so no verdict depends
-on the units of the cost or of the box; an analytic partial is judged by
-its exact sign.  Bound construction refuses to run without a usable
-classification.
+into adjacent-cell ones.  Two routes classify: the cross-difference of
+adjacent grid cells, and the cost's analytic mixed partial d2c/dxdy.  A
+cost without an analytic partial has one route, the cross-difference.
+A four-term difference d of costs z has a sign only where
+|d| > _ROUNDING * sum |z|, its own rounding bound (Higham 2002, section
+4.2), so no verdict depends on the units of the cost or of the box; an
+analytic partial is judged by its exact sign.  Bound construction
+refuses to run without a usable classification.
 """
 
 from __future__ import annotations
@@ -67,7 +66,8 @@ class MongeReport:
     method: str
 
 
-def _validate_grid(domain, n):
+def _grid(domain, n):
+    """Check the box and resolution; return them with the grid's x axis as a column, y as a row."""
     try:
         x0, x1, y0, y1 = (float(v) for v in domain)
     except (TypeError, ValueError):
@@ -77,7 +77,7 @@ def _validate_grid(domain, n):
     n = int(n)
     if n < 3:
         raise ValueError(f"grid resolution must be at least 3, got {n}")
-    return (x0, x1, y0, y1), n
+    return (x0, x1, y0, y1), n, np.linspace(x0, x1, n)[:, None], np.linspace(y0, y1, n)[None, :]
 
 
 def _classify(values, bound, domain, n, method):
@@ -119,13 +119,6 @@ def _classify(values, bound, domain, n, method):
     )
 
 
-def _four_term(z, lo, hi):
-    """Each cell's z11 + z00 - z01 - z10 and its rounding bound, with z11 = z[hi, hi], z00 = z[lo, lo]."""
-    a = np.abs(z)
-    a = a[hi] + a[lo]
-    return z[hi, hi] + z[lo, lo] - z[lo, hi] - z[hi, lo], _ROUNDING * (a[:, hi] + a[:, lo])
-
-
 def check_cross_difference(cost, domain, n=64):
     """Classify ``cost`` by the sign of adjacent-cell cross-differences.
 
@@ -134,38 +127,25 @@ def check_cross_difference(cost, domain, n=64):
     nowhere above its rounding bound means submodular, nowhere below
     minus it supermodular.
     """
-    domain, n = _validate_grid(domain, n)
-    x0, x1, y0, y1 = domain
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    domain, n, x, y = _grid(domain, n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = cost(xs[:, None], ys[None, :])
-        d, bound = _four_term(z, slice(None, -1), slice(1, None))
+        z = cost(x, y)
+        a = np.abs(z)
+        a = a[1:] + a[:-1]
+        d = z[1:, 1:] + z[:-1, :-1] - z[:-1, 1:] - z[1:, :-1]
+        bound = _ROUNDING * (a[:, 1:] + a[:, :-1])
     return _classify(d, bound, domain, n, method="cross_difference")
 
 
 def check_mixed_partial(cost, domain, n=64):
-    """Classify ``cost`` by the sign of d2c/dxdy on a grid.
+    """Classify ``cost`` by the exact sign of its analytic d2c/dxdy on a grid.
 
-    Uses the cost's analytic mixed partial when present, judged by its
-    exact sign.  Otherwise each point (x, y) of a grid inset by hx = 1e-4
-    (x1 - x0), hy = 1e-4 (y1 - y0) gets the cross-difference of the cell
-    [x - hx, x + hx] x [y - hy, y + hy], whose sign is that of d2c/dxdy.
+    A cost without an analytic partial gets ``check_cross_difference``'s
+    report, whose ``method`` names that route.
     """
-    domain, n = _validate_grid(domain, n)
-    x0, x1, y0, y1 = domain
-    if cost.mixed_partial is not None:
-        xs = np.linspace(x0, x1, n)
-        ys = np.linspace(y0, y1, n)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            m = cost.cross_partial(xs[:, None], ys[None, :])
-        return _classify(m, 0.0, domain, n, method="mixed_partial")
-
-    hx, hy = 1e-4 * (x1 - x0), 1e-4 * (y1 - y0)
-    # Each inset grid point x becomes the pair x - hx, x + hx: even entries pair with odd ones.
-    xs = (np.linspace(x0 + hx, x1 - hx, n)[:, None] + [-hx, hx]).ravel()
-    ys = (np.linspace(y0 + hy, y1 - hy, n)[:, None] + [-hy, hy]).ravel()
+    if cost.mixed_partial is None:
+        return check_cross_difference(cost, domain, n)
+    domain, n, x, y = _grid(domain, n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z = cost(xs[:, None], ys[None, :])
-        d, bound = _four_term(z, slice(0, None, 2), slice(1, None, 2))
-    return _classify(d, bound, domain, n, method="mixed_partial_fd")
+        m = cost.cross_partial(x, y)
+    return _classify(m, 0.0, domain, n, method="mixed_partial")

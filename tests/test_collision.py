@@ -153,9 +153,14 @@ class TestValidation:
     def test_p11_outside_range_rejected(self, capsys):
         assert _fails(capsys, _argv(0.5, 0.5, 0.6)) == "error: p11=0.6 outside the feasible range [0.0, 0.5]\n"
         _fails(capsys, _argv(0.5, 0.5, -1e-6))
-        # Within 1e-12 of an end is still feasible.
-        assert _collision(0.5, 0.5, -1e-13)["u"] == 1.0
-        assert _collision(0.5, 0.5, 0.5 + 1e-13)["u"] == 0.0
+        # Within rounding of an end is still feasible; 1e-13 beyond it is not.
+        assert _collision(0.5, 0.5, -2.0**-53)["u"] == 1.0
+        assert _collision(0.5, 0.5, 0.5 + 2.0**-52)["u"] == 0.0
+        _fails(capsys, _argv(0.5, 0.5, -1e-13))
+        _fails(capsys, _argv(0.5, 0.5, 0.5 + 1e-13))
+        # The range is [0, 1.0003e-13]: an absolute 1e-12 slack took five times its upper end.
+        err = _fails(capsys, _argv(0.9999999999999, 0.5, 5e-13))
+        assert err.startswith("error: p11=5e-13 outside the feasible range [0.0, 1.000310945187266e-13]")
 
     def test_p11_range_tightens_with_load(self):
         # Heavier load shrinks the feasible idle-overlap interval.

@@ -56,9 +56,12 @@ def test_snr_db_beyond_float_range_is_value_error(snr_db):
         builtin("mac_rate1", snr_db=snr_db)
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_analytic_mixed_partial_matches_finite_difference(name):
-    cost = _make(name)
+@pytest.mark.parametrize(
+    "cost",
+    [pytest.param(_make(name), id=name) for name in ALL_NAMES]
+    + [pytest.param(builtin("mac_rate1", s=0.5), id="mac_rate1-s0.5")],
+)
+def test_analytic_mixed_partial_matches_finite_difference(cost):
     rng = np.random.default_rng(5)
     x = rng.uniform(0.5, 9.0, 50)
     y = rng.uniform(0.5, 9.0, 50)

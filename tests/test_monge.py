@@ -52,35 +52,35 @@ def test_builtin_classifications(check, name, params, expected):
         assert report.max_violation <= report.tolerance
 
 
-def test_finite_difference_route_agrees_with_analytic():
-    # Force the stencil even when an analytic partial exists.  Its step is
-    # 1e-4 of each side, so it fits a box of aspect ratio 1e5 as it fits a
-    # square, and reads the cross route's label there.
+def test_cost_without_partial_gets_cross_report():
+    # A cost without an analytic partial has one route: the cross-difference report, unchanged.
     for box in (BOX, (0.0, 1e5, 0.0, 1.0), (0.0, 1.0, 0.0, 1e5)):
         for name, params, expected in EXPECTED:
             for scale in SCALES:
                 cost = _scaled(dataclasses.replace(builtin(name, **params), mixed_partial=None), scale)
-                fd = check_mixed_partial(cost, box, n=24)
-                cross = check_cross_difference(cost, box, n=24)
-                assert fd.classification == cross.classification == expected, (box, name, scale)
-                assert fd.method == "mixed_partial_fd"
-    # Values near 1e-20 on cells of area 4e-328: the stencil needs no 4h^2.
+                report = check_mixed_partial(cost, box, n=24)
+                assert report == check_cross_difference(cost, box, n=24), (box, name, scale)
+                assert report.classification == expected, (box, name, scale)
+    # Values near 1e-20 on cells whose area, about 2e-322, is subnormal.
     big = CostFunction(name="big", fn=lambda x, y: 1e300 * x * y)
     tiny = (0.0, 1e-160, 0.0, 1e-160)
-    fd = check_mixed_partial(big, tiny, n=24)
-    assert fd.classification == check_cross_difference(big, tiny, n=24).classification == "supermodular"
+    report = check_mixed_partial(big, tiny, n=24)
+    assert report == check_cross_difference(big, tiny, n=24)
+    assert report.classification == "supermodular"
 
 
-def test_fd_values_match_analytic_values():
-    cost = builtin("mac_rate1", s=0.5)
-    xs = np.linspace(0.5, 9.5, 24)[:, None]
-    ys = np.linspace(0.5, 9.5, 24)[None, :]
-    h = 1e-4
-    fd = (cost(xs + h, ys + h) - cost(xs + h, ys - h) - cost(xs - h, ys + h) + cost(xs - h, ys - h)) / (
-        4 * h * h
-    )
-    exact = cost.cross_partial(xs, ys)
-    np.testing.assert_allclose(fd, exact, atol=1e-6, rtol=1e-4)
+def test_thin_box_keeps_its_interval():
+    # On (0.5, 0.5 + 1e-7) x (0, 1) a stencil on cells 2e-4 of each side read sum_rate as modular,
+    # and bounds collapsed the interval to a point; the true interval is about 6e-9 wide.
+    from depbound.marginals import Uniform
+    from depbound.transport import bounds, working_domain
+
+    fx, fy = Uniform(0.5, 0.5 + 1e-7), Uniform(0.0, 1.0)
+    cost = dataclasses.replace(builtin("sum_rate"), mixed_partial=None)
+    report = check_mixed_partial(cost, working_domain(fx, fy))
+    assert report.classification == "submodular"
+    result = bounds(cost, fx, fy, report)
+    assert result.upper - result.lower > result.lower_err + result.upper_err
 
 
 def _wave():
@@ -133,7 +133,7 @@ def test_modular_reports_largest_excursion():
     assert report.max_violation < 1e-12
 
 
-@pytest.mark.parametrize("partial", [None, lambda x, y: 0.0], ids=["fd", "analytic"])
+@pytest.mark.parametrize("partial", [None, lambda x, y: 0.0], ids=["no_partial", "analytic"])
 @pytest.mark.parametrize("check", [check_cross_difference, check_mixed_partial], ids=["cross", "partial"])
 def test_constant_cost_is_modular(check, partial):
     # The cross-difference check indexed the constant's scalar value as
@@ -164,12 +164,3 @@ def test_report_records_grid_metadata():
     # The largest cell's rounding bound: sinr peaks at c(10, 0) = 10.
     assert 0.0 < report.tolerance < 8 * np.finfo(float).eps * 4 * 10.0
     assert report.method == "cross_difference"
-
-
-def test_fd_report_is_in_cost_units():
-    # The stencil's cells are four-term differences like the cross route's:
-    # x*y gives 4 hx hy = 4e-7 on (0, 10, 0, 1), with no division by a step.
-    product = dataclasses.replace(builtin("product"), mixed_partial=None)
-    report = check_mixed_partial(product, (0.0, 10.0, 0.0, 1.0), n=16)
-    assert report.classification == "supermodular"
-    assert 0.0 < report.tolerance < 8 * np.finfo(float).eps * 4 * 10.0
