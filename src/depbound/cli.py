@@ -5,11 +5,12 @@ JSON or (where the command has a table) CSV, and exits: 0 on success,
 1 on a usage problem, 2 on a numerical failure (quadrature
 non-convergence, unusable lattice classification, NaN out of a cost).
 Errors go to stderr as a single ``error: ...`` line.  Numbers are
-serialized with 12 significant digits so reruns diff cleanly; the Monte
-Carlo seed defaults to DEFAULT_SEED, overridable by the DEPBOUND_SEED
-environment variable and then by ``--seed``.  An output file that already
-holds the bytes a command would write is left as it is, apart from its
-modification time.
+serialized with 12 significant digits so reruns on one OpenBLAS kernel
+diff cleanly; the quadrature's panel sums go through BLAS, so ``bounds``'
+error fields can move in their last digits on another kernel.  The Monte
+Carlo seed is ``--seed``, DEFAULT_SEED when it is not given; nothing in
+the environment changes it.  An output file that already holds the bytes
+a command would write is left as it is, apart from its modification time.
 
 ``main`` is the process entry (``python -m depbound`` and the ``depbound``
 script); ``run`` is the same command without its process-level setup, for
@@ -158,18 +159,6 @@ def _parse_range(text, count_means_grid=False):
     return [start + k * last for k in range(int(steps) + 1)]
 
 
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DEPBOUND_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"DEPBOUND_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
 # The spec parsers the handlers call, module attributes that a caller may
 # swap; each imports its module on first use.
 def parse_marginal(text):
@@ -246,7 +235,7 @@ def _cmd_mc(args):
     cost = parse_cost(args.cost)
     fx = parse_marginal(args.fx)
     fy = parse_marginal(args.fy)
-    est = mc_expectation(cost, fx, fy, _COUPLING_FLAGS[args.coupling], args.n, _resolve_seed(args))
+    est = mc_expectation(cost, fx, fy, _COUPLING_FLAGS[args.coupling], args.n, args.seed)
     payload = {"value": est.value, "stderr": est.stderr, "n": est.n, "seed": est.seed}
     return payload, _one_row(payload)
 
@@ -396,8 +385,7 @@ def build_parser():
     p = sub.add_parser("mc", parents=[pair], help="Monte Carlo estimate under a coupling")
     p.add_argument("--coupling", required=True, choices=tuple(_COUPLING_FLAGS))
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default {DEFAULT_SEED}; DEPBOUND_SEED overrides the default)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_mc)
 

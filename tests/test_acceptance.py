@@ -5,7 +5,6 @@ scrape recovers the full scorecard; the assert carries the same line.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -270,9 +269,8 @@ def test_criterion_8_property_battery():
     # Byte-identical reruns through the real process boundary.
     argv = [sys.executable, "-m", "depbound", "mc", "--cost", "sinr", "--fx", "exp:1",
             "--fy", "exp:2", "--coupling", "co", "--n", "50000", "--seed", "7"]
-    env = {k: v for k, v in os.environ.items() if k != "DEPBOUND_SEED"}
-    first = subprocess.run(argv, capture_output=True, env=env)
-    second = subprocess.run(argv, capture_output=True, env=env)
+    first = subprocess.run(argv, capture_output=True)
+    second = subprocess.run(argv, capture_output=True)
     cli_ok = (first.returncode == second.returncode == 0
               and first.stdout == second.stdout and first.stdout != b"")
 

@@ -16,11 +16,6 @@ from depbound import cli, monge, sampler
 from depbound.cli import DEFAULT_SEED, run
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("DEPBOUND_SEED", raising=False)
-
-
 def _ok(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -176,23 +171,16 @@ class TestMc:
                                       "--fy", "exp:1", "--coupling", "ind", "--n", "1000"]))
         assert doc["seed"] == DEFAULT_SEED
 
-    def test_env_seed(self, capsys, monkeypatch):
+    def test_environment_does_not_set_the_seed(self, capsys, monkeypatch):
+        # The seed comes from the arguments alone, so no harness has to
+        # scrub the environment before it trusts stdout.
+        argv = ["mc", "--cost", "additive", "--fx", "exp:1", "--fy", "exp:1",
+                "--coupling", "ind", "--n", "1000"]
+        monkeypatch.delenv("DEPBOUND_SEED", raising=False)
+        unset = _ok(capsys, argv)
         monkeypatch.setenv("DEPBOUND_SEED", "555")
-        doc = json.loads(_ok(capsys, ["mc", "--cost", "additive", "--fx", "exp:1",
-                                      "--fy", "exp:1", "--coupling", "ind", "--n", "1000"]))
-        assert doc["seed"] == 555
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEPBOUND_SEED", "555")
-        doc = json.loads(_ok(capsys, ["mc", "--cost", "additive", "--fx", "exp:1",
-                                      "--fy", "exp:1", "--coupling", "ind", "--n", "1000",
-                                      "--seed", "9"]))
-        assert doc["seed"] == 9
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEPBOUND_SEED", "not-a-number")
-        _fail(capsys, ["mc", "--cost", "additive", "--fx", "exp:1", "--fy", "exp:1",
-                       "--coupling", "ind", "--n", "1000"], 1)
+        assert _ok(capsys, argv) == unset
+        assert json.loads(unset)["seed"] == DEFAULT_SEED == 1729
 
     def test_small_n_is_usage_error(self, capsys):
         _fail(capsys, ["mc", "--cost", "additive", "--fx", "exp:1", "--fy", "exp:1",
@@ -645,9 +633,7 @@ class TestSubprocess:
 
     @staticmethod
     def _invoke(args):
-        env = {k: v for k, v in os.environ.items() if k != "DEPBOUND_SEED"}
-        return subprocess.run([sys.executable, "-m", "depbound", *args],
-                              capture_output=True, env=env)
+        return subprocess.run([sys.executable, "-m", "depbound", *args], capture_output=True)
 
     def test_reruns_are_byte_identical(self):
         argv = ["mc", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:2",

@@ -16,7 +16,7 @@ def _check_python_block(index):
     # The comment right after the first print is that print's output.
     after_print = next(i for i, line in enumerate(lines) if line.startswith("print(")) + 1
     expected = lines[after_print].removeprefix("# ")
-    env = {k: v for k, v in os.environ.items() if k != "DEPBOUND_SEED"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, cwd=ROOT)
     assert res.returncode == 0, res.stderr
