@@ -1,8 +1,8 @@
 """Bivariate performance functions c(x, y) on the nonnegative quadrant.
 
-Each builtin carries its analytic mixed partial d2c/dxdy where one
-exists; the lattice checks use it to cross-validate the finite
-difference route.  Arguments must be nonnegative (channel gains or
+Each builtin carries its analytic mixed partial d2c/dxdy, whose exact
+sign ``check_mixed_partial`` reads as the second lattice route beside
+the cross-differences.  Arguments must be nonnegative (channel gains or
 envelopes); negative input raises rather than clamps, since a negative
 gain always means a caller bug.
 """

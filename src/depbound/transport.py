@@ -47,7 +47,6 @@ __all__ = [
     "ClassificationError",
     "Expectation",
     "BoundsResult",
-    "SweepRow",
     "adaptive_quadrature",
     "unit_quadrature",
     "comonotonic_expectation",
@@ -103,14 +102,9 @@ class BoundsResult:
     independent: float | None
     lower_err: float
     upper_err: float
+    independent_err: float | None
     truncation_bound: float
     classification_used: str
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    param: float
-    result: BoundsResult
 
 
 # Gauss-Kronrod 7/15 on [-1, 1].  Kronrod nodes/weights; the embedded
@@ -413,7 +407,8 @@ def _bounds_rows(costs, reports, include_independent, co, counter, independent):
         truncs = [low.truncation, high.truncation] + ([ind.truncation] if ind else [])
         results.append(BoundsResult(
             lower=low.value, upper=high.value, independent=ind.value if ind else None, lower_err=low.error,
-            upper_err=high.error, truncation_bound=max(truncs), classification_used=kind,
+            upper_err=high.error, independent_err=ind.error if ind else None, truncation_bound=max(truncs),
+            classification_used=kind,
         ))
     return results
 
@@ -468,17 +463,18 @@ def classified_bounds(cost, fx, fy, include_independent=False):
     ``ClassificationError`` exactly as ``bounds`` does.
     """
     report = check_cross_difference(cost, working_domain(fx, fy), n=64)
-    return bounds(cost, fx, fy, report, include_independent=include_independent)
+    return bounds(cost, fx, fy, report, include_independent)
 
 
-def bounds_sweep(cost_factory, params, fx, fy, include_independent=True):
-    """One ``classified_bounds`` result per parameter value, integrated together.
+def bounds_sweep(cost_factory, params, fx, fy):
+    """One ``classified_bounds`` result per parameter value, in order, integrated together.
 
-    A sweep is one cost function with different parameters:
-    ``cost_factory(p)`` builds the cost for parameter ``p``, and every
-    row's ``fn`` and parameter names must be the first row's, else
-    ``ValueError`` before any classification or quadrature.  A
-    ``neither`` row aborts the sweep (``ClassificationError``) before
+    Row ``i`` is ``classified_bounds(cost_factory(params[i]), fx, fy,
+    include_independent=True)`` up to the BLAS summation order of a
+    panel batch.  A sweep is one cost function with different
+    parameters: every row's ``fn`` and parameter names must be the first
+    row's, else ``ValueError`` before any classification or quadrature.
+    A ``neither`` row aborts the sweep (``ClassificationError``) before
     any quadrature.  Each coupling's integrals of all rows share
     one worklist, each row on its own budget, so a row fails as alone;
     a row that runs out of subdivisions is named by its parameter.
@@ -495,8 +491,8 @@ def bounds_sweep(cost_factory, params, fx, fy, include_independent=True):
     box = working_domain(fx, fy)
     reports = [check_cross_difference(cost, box, n=64) for cost in costs]
     try:
-        results = _bounds_rows(
-            costs, reports, include_independent,
+        return _bounds_rows(
+            costs, reports, True,
             lambda cs: _coupled_rows(cs, fx, fy, "comonotonic"),
             lambda cs: _coupled_rows(cs, fx, fy, "countermonotonic"),
             lambda cs: _independent_rows(cs, fx, fy),
@@ -505,4 +501,3 @@ def bounds_sweep(cost_factory, params, fx, fy, include_independent=True):
         if exc.row is None:
             raise
         raise QuadratureError(f"{exc} in the row for parameter {float(params[exc.row])!r}", row=exc.row) from None
-    return [SweepRow(param=float(p), result=r) for p, r in zip(params, results)]

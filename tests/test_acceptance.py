@@ -85,13 +85,10 @@ def test_criterion_2_interference_triple_by_monte_carlo():
 def test_criterion_3_rate_sweep_structure_and_spot_checks():
     t0 = time.perf_counter()
     snrs = [float(s) for s in range(-5, 21)]
-    rows = bounds_sweep(
-        lambda p: builtin("mac_rate1", snr_db=p), snrs, E1, E1, include_independent=True
-    )
-    ordered = all(r.result.lower < r.result.independent < r.result.upper for r in rows)
+    rows = bounds_sweep(lambda p: builtin("mac_rate1", snr_db=p), snrs, E1, E1)
+    ordered = all(r.lower < r.independent < r.upper for r in rows)
     monotone = True
-    for pick in (lambda r: r.result.lower, lambda r: r.result.upper,
-                 lambda r: r.result.independent):
+    for pick in (lambda r: r.lower, lambda r: r.upper, lambda r: r.independent):
         series = [pick(r) for r in rows]
         monotone = monotone and all(a < b for a, b in zip(series, series[1:]))
     spot_z = []
@@ -99,9 +96,9 @@ def test_criterion_3_rate_sweep_structure_and_spot_checks():
         row = rows[snrs.index(snr)]
         cost = builtin("mac_rate1", snr_db=snr)
         for coupling, target in (
-            ("comonotonic", row.result.lower),
-            ("countermonotonic", row.result.upper),
-            ("independent", row.result.independent),
+            ("comonotonic", row.lower),
+            ("countermonotonic", row.upper),
+            ("independent", row.independent),
         ):
             est = mc_expectation(cost, E1, E1, coupling, 1_000_000, seed=seed)
             spot_z.append(abs(est.value - target) / est.stderr)

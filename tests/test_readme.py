@@ -29,3 +29,7 @@ def test_quick_start_prints_its_comment():
 
 def test_collision_recipe_prints_its_comment():
     _check_python_block(1)
+
+
+def test_sweep_recipe_prints_its_comment():
+    _check_python_block(2)

@@ -7,7 +7,7 @@ import pytest
 
 from depbound import transport
 from depbound.costs import CostFunction, builtin
-from depbound.marginals import Bernoulli, Exponential, LogNormal, Nakagami, Rayleigh, Uniform
+from depbound.marginals import Bernoulli, Exponential, LogNormal, Nakagami, Rayleigh, Rician, Uniform
 from depbound.monge import check_cross_difference
 from depbound.transport import (
     COUPLING_MAPS,
@@ -321,11 +321,12 @@ class TestBreakpoints:
                 [*ends, sums["independent"]], rel=1e-12, abs=1e-15), name
             assert res.truncation_bound == 0.0
         # A sweep over a Bernoulli pair is its rows' classified bounds.
-        rows = bounds_sweep(lambda s: builtin("mac_rate1", s=s), [0.1, 0.5, 2.0], fx, fy)
-        for row in rows:
-            alone = classified_bounds(builtin("mac_rate1", s=row.param), fx, fy, include_independent=True)
-            assert row.result.classification_used == alone.classification_used == "submodular"
-            got = [row.result.lower, row.result.upper, row.result.independent]
+        params = [0.1, 0.5, 2.0]
+        rows = bounds_sweep(lambda s: builtin("mac_rate1", s=s), params, fx, fy)
+        for s, row in zip(params, rows):
+            alone = classified_bounds(builtin("mac_rate1", s=s), fx, fy, include_independent=True)
+            assert row.classification_used == alone.classification_used == "submodular"
+            got = [row.lower, row.upper, row.independent]
             assert got == pytest.approx([alone.lower, alone.upper, alone.independent], rel=1e-12, abs=1e-15)
 
     def test_uniform_product_closed_forms_without_truncation(self):
@@ -463,6 +464,7 @@ class TestBounds:
         res = bounds(cost, E1, E2, _classified(cost, E1, E2), include_independent=True)
         assert res.classification_used == "modular"
         assert res.lower == res.upper == res.independent
+        assert res.lower_err == res.upper_err == res.independent_err
         assert res.lower == pytest.approx(1.5, abs=1e-6)
 
     def test_requires_report(self):
@@ -497,7 +499,18 @@ class TestBounds:
     def test_independent_omitted_by_default(self):
         cost = builtin("sinr")
         res = bounds(cost, E1, E2, _classified(cost, E1, E2))
-        assert res.independent is None
+        assert res.independent is res.independent_err is None
+
+    @pytest.mark.parametrize("fx, expected", [
+        (LogNormal(0.0, 1.0), math.exp(1.0)),
+        (LogNormal(0.0, 1.5), math.exp(2.25)),
+        (LogNormal(0.0, 2.0), math.exp(4.0)),
+        (Exponential(1e5), 1e-10),
+    ], ids=["lognormal-1", "lognormal-1.5", "lognormal-2", "exp-1e5"])
+    def test_independent_error_covers_the_closed_form(self, fx, expected):
+        # E[XY] = E[X]^2 for independent copies; the printed error must reach the truth.
+        res = classified_bounds(builtin("product"), fx, fx, include_independent=True)
+        assert abs(res.independent - expected) <= res.independent_err
 
     def test_ordering_across_battery(self):
         battery = [Exponential(1.0), Uniform(0.2, 3.0), Rayleigh(1.0), Nakagami(2.0, 1.5), LogNormal(0.0, 0.5)]
@@ -516,22 +529,18 @@ class TestSweep:
         rows = bounds_sweep(
             lambda p: builtin("mac_rate1", snr_db=p), [-5.0, 0.0, 5.0], E1, E1
         )
-        assert [r.param for r in rows] == [-5.0, 0.0, 5.0]
-        for row in rows:
-            res = row.result
+        assert len(rows) == 3
+        for res in rows:
             assert isinstance(res, BoundsResult)
             assert res.lower < res.independent < res.upper
-        lows = [r.result.lower for r in rows]
-        highs = [r.result.upper for r in rows]
-        inds = [r.result.independent for r in rows]
+        lows = [r.lower for r in rows]
+        highs = [r.upper for r in rows]
+        inds = [r.independent for r in rows]
         for series in (lows, highs, inds):
             assert all(a < b for a, b in zip(series, series[1:]))
 
     def test_vanishing_signal_limit(self):
-        rows = bounds_sweep(
-            lambda p: builtin("mac_rate1", s=p), [1e9], E1, E1, include_independent=True
-        )
-        res = rows[0].result
+        (res,) = bounds_sweep(lambda p: builtin("mac_rate1", s=p), [1e9], E1, E1)
         assert max(abs(res.lower), abs(res.upper), abs(res.independent)) < 1e-8
 
     @staticmethod
@@ -540,26 +549,35 @@ class TestSweep:
         # rows cycle through a submodular, a supermodular and a modular cost.
         return CostFunction(name="mixed", fn=_mixed_fn, params={"w": (1.0 + p) * (-1.0, 1.0, 0.0)[int(p) % 3]})
 
-    @pytest.mark.parametrize("include_independent", [True, False])
-    def test_each_row_matches_classified_bounds(self, include_independent):
+    def test_each_row_matches_classified_bounds(self):
         params = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         fy = Rayleigh(0.8)
-        rows = bounds_sweep(self._mixed, params, E1, fy, include_independent=include_independent)
-        assert [r.param for r in rows] == params
-        assert {r.result.classification_used for r in rows} == {"submodular", "supermodular", "modular"}
-        for p, row in zip(params, rows):
-            alone = classified_bounds(self._mixed(p), E1, fy, include_independent=include_independent)
-            got = row.result
+        rows = bounds_sweep(self._mixed, params, E1, fy)
+        assert len(rows) == len(params)
+        assert {r.classification_used for r in rows} == {"submodular", "supermodular", "modular"}
+        for p, got in zip(params, rows):
+            alone = classified_bounds(self._mixed(p), E1, fy, include_independent=True)
             assert got.classification_used == alone.classification_used
             assert got.lower == pytest.approx(alone.lower, rel=1e-12)
             assert got.upper == pytest.approx(alone.upper, rel=1e-12)
-            if include_independent:
-                assert got.independent == pytest.approx(alone.independent, rel=1e-12)
-            else:
-                assert got.independent is alone.independent is None
+            assert got.independent == pytest.approx(alone.independent, rel=1e-12)
             assert got.lower_err == pytest.approx(alone.lower_err, rel=1e-6)
             assert got.upper_err == pytest.approx(alone.upper_err, rel=1e-6)
+            assert got.independent_err == pytest.approx(alone.independent_err, rel=1e-6)
             assert got.truncation_bound == pytest.approx(alone.truncation_bound, rel=1e-6)
+
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 7.5, 20.0])
+    @pytest.mark.parametrize("fx, fy", [
+        (E1, E1), (E1, Rayleigh(0.8)), (Uniform(0.0, 2.0), LogNormal(0.0, 0.5)), (Bernoulli(0.3), E2),
+        (Rician(1.5, 0.6), Nakagami(1.5, 1.0)),
+    ], ids=["exp-exp", "exp-rayleigh", "uniform-lognormal", "bernoulli-exp", "rician-nakagami"])
+    def test_one_row_sweep_is_its_single_query(self, fx, fy, snr_db):
+        # A row alone on each worklist is integrated panel for panel as the single query is.
+        def cost(p):
+            return builtin("mac_rate1", snr_db=p)
+
+        single = classified_bounds(cost(snr_db), fx, fy, include_independent=True)
+        assert bounds_sweep(cost, [snr_db], fx, fy) == [single]
 
     def test_empty_sweep(self):
         assert bounds_sweep(self._mixed, [], E1, E1) == []
@@ -608,7 +626,7 @@ class TestSweep:
                     classified_bounds(factory(s), E1, E1, include_independent=True)
         rows = bounds_sweep(factory, params, E1, E1)
         for row, res in zip(rows, alone):
-            assert row.result.independent == pytest.approx(res.independent, rel=1e-12)
+            assert row.independent == pytest.approx(res.independent, rel=1e-12)
         # A row that cannot converge alone still fails inside the sweep, and
         # the sweep names it; the modular row (0) sits only on the
         # comonotonic worklist, so the failing independent worklist
@@ -624,11 +642,10 @@ class TestSweep:
         # The sweep of `reproduce fig2`: each row shares its worklist with
         # the other 25, and should still equal the bound computed alone.
         params = [float(p) for p in range(-5, 21)]
-        rows = bounds_sweep(lambda p: builtin("mac_rate1", snr_db=p), params, E1, E1, include_independent=True)
+        rows = bounds_sweep(lambda p: builtin("mac_rate1", snr_db=p), params, E1, E1)
         differing = [
-            row.param for row in rows
-            if row.result != classified_bounds(builtin("mac_rate1", snr_db=row.param), E1, E1,
-                                               include_independent=True)
+            p for p, row in zip(params, rows)
+            if row != classified_bounds(builtin("mac_rate1", snr_db=p), E1, E1, include_independent=True)
         ]
         assert differing == []
 
