@@ -171,9 +171,9 @@ def parse_cost(text):
     return parse(text)
 
 
-def builtin(name, **params):
+def builtin(spec, **params):
     from .costs import builtin as build
-    return build(name, **params)
+    return build(spec, **params)
 
 
 def _add_output_flags(p, default_format="json"):
@@ -210,9 +210,8 @@ def _cmd_sweep(args):
     fx = parse_marginal(args.fx)
     fy = parse_marginal(args.fy)
     values = _parse_range(args.range)
-    name = args.cost
-    key = args.param
-    rows = bounds_sweep(lambda p: builtin(name, **{key: p}), values, fx, fy)
+    spec, key = args.cost, args.param
+    rows = bounds_sweep(lambda p: builtin(spec, **{key: p}), values, fx, fy)
     payload = [
         {"param": p, "lower": r.lower, "upper": r.upper, "independent": r.independent,
          "lower_err": r.lower_err, "upper_err": r.upper_err}
@@ -358,26 +357,24 @@ def build_parser():
     parser = _Parser(prog="depbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def pair(cost_help="cost spec, e.g. sinr or mac_rate1:s=0.5"):
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument("--cost", required=True, help=cost_help)
-        parent.add_argument("--fx", required=True, help="marginal spec, e.g. exp:1")
-        parent.add_argument("--fy", required=True)
-        return parent
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--cost", required=True, help="cost spec, e.g. sinr or mac_rate1:s=0.5")
+    pair.add_argument("--fx", required=True, help="marginal spec, e.g. exp:1")
+    pair.add_argument("--fy", required=True)
 
-    p = sub.add_parser("bounds", parents=[pair()], help="dependence bounds for one cost and marginal pair")
+    p = sub.add_parser("bounds", parents=[pair], help="dependence bounds for one cost and marginal pair")
     p.add_argument("--independent", action="store_true", help="also compute the independence baseline")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("sweep", parents=[pair("bare builtin cost name, e.g. mac_rate1 (no :params)")],
-                       help="bounds swept over a cost parameter")
-    p.add_argument("--param", default="snr_db", help="the builtin's parameter that --range sweeps (default snr_db)")
+    p = sub.add_parser("sweep", parents=[pair], help="bounds swept over a cost parameter")
+    p.add_argument("--param", default="snr_db",
+                   help="the cost parameter that --range sweeps, not also set in --cost (default snr_db)")
     p.add_argument("--range", required=True, metavar="START:STOP:STEP")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("mc", parents=[pair()], help="Monte Carlo estimate under a coupling")
+    p = sub.add_parser("mc", parents=[pair], help="Monte Carlo estimate under a coupling")
     p.add_argument("--coupling", required=True, choices=tuple(_COUPLING_FLAGS))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")

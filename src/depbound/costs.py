@@ -159,8 +159,27 @@ BUILTIN_COSTS = {
 }
 
 
-def builtin(name, **params):
-    """Construct a builtin cost by name; see ``BUILTIN_COSTS`` for the set."""
+def builtin(spec, **params):
+    """Build a builtin cost from a spec ``name[:key=value,...]``, e.g. ``"mac_rate1:s=0.5"``.
+
+    The name may be in any case; see ``BUILTIN_COSTS``.  The spec's keys
+    (only ``mac_rate1`` takes any) and ``params`` together are the factory's
+    keyword arguments; a key given twice raises ``ValueError``.
+    """
+    name, sep, rest = spec.partition(":")
+    name = name.strip().lower()
+    if sep and rest.strip():
+        for piece in rest.split(","):
+            key, eq, value = piece.partition("=")
+            key = key.strip()
+            if not eq:
+                raise ValueError(f"cost parameter {piece!r} is not of the form key=value")
+            if key in params:
+                raise ValueError(f"cost parameter {key!r} is given twice")
+            try:
+                params[key] = float(value)
+            except ValueError:
+                raise ValueError(f"cost parameter {key!r} has non-numeric value {value!r}") from None
     try:
         factory = BUILTIN_COSTS[name]
     except KeyError:
@@ -172,22 +191,5 @@ def builtin(name, **params):
         raise ValueError(f"cost {name!r} does not take parameters {sorted(params)}") from None
 
 
-def parse_cost(text):
-    """Build a cost from a spec string like ``"mac_rate1:s=0.5"``.
-
-    Format is ``name[:key=value,...]``; keys are the factory keyword
-    arguments (currently only ``mac_rate1`` takes any).
-    """
-    name, sep, rest = text.partition(":")
-    name = name.strip().lower()
-    params = {}
-    if sep and rest.strip():
-        for piece in rest.split(","):
-            key, eq, value = piece.partition("=")
-            if not eq:
-                raise ValueError(f"cost parameter {piece!r} is not of the form key=value")
-            try:
-                params[key.strip()] = float(value)
-            except ValueError:
-                raise ValueError(f"cost parameter {key.strip()!r} has non-numeric value {value!r}") from None
-    return builtin(name, **params)
+# One function under the name the library's callers and the benchmark use.
+parse_cost = builtin

@@ -143,6 +143,21 @@ class TestSweep:
             assert all(p <= stop for p in cli._parse_range(spec))
         assert len(cli._parse_range(small)) == len(cli._parse_range(text))
 
+    def test_cost_is_a_spec_as_for_bounds(self, capsys):
+        argv = ["--fx", "exp:1", "--fy", "exp:1", "--range", "-5:20:1", "--csv"]
+        assert (_ok(capsys, ["sweep", "--cost", "MAC_RATE1", *argv])
+                == _ok(capsys, ["sweep", "--cost", "mac_rate1", *argv]))
+
+    def test_swept_parameter_set_in_the_spec_is_usage_error(self, capsys):
+        err = _fail(capsys, ["sweep", "--cost", "mac_rate1:snr_db=3", "--param", "snr_db",
+                             "--fx", "exp:1", "--fy", "exp:1", "--range", "0:2:1"], 1)
+        assert "'snr_db' is given twice" in err
+
+    def test_spec_parameter_beside_the_swept_one_reaches_the_cost(self, capsys):
+        err = _fail(capsys, ["sweep", "--cost", "mac_rate1:s=0.5", "--fx", "exp:1", "--fy", "exp:1",
+                             "--range", "0:2:1"], 1)
+        assert "pass exactly one of s or snr_db" in err
+
     def test_bad_range_is_usage_error(self, capsys):
         _fail(capsys, ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1",
                        "--range", "5:-5:1"], 1)

@@ -139,16 +139,31 @@ def test_domain_check_passes_empty_and_zero():
 
 
 def test_parse_cost():
-    assert parse_cost("sinr").name == "sinr"
-    assert parse_cost("mac_rate1:s=0.5").params["s"] == 0.5
-    assert parse_cost("mac_rate1:snr_db=3").params["s"] == pytest.approx(10 ** (-0.3))
-    assert parse_cost("SINR").name == "sinr"
+    for parse in (parse_cost, builtin):
+        assert parse("sinr").name == "sinr"
+        assert parse("mac_rate1:s=0.5").params["s"] == 0.5
+        assert parse("mac_rate1:snr_db=3").params["s"] == pytest.approx(10 ** (-0.3))
+        assert parse("SINR").name == "sinr"
 
 
 @pytest.mark.parametrize("text", ["nope", "mac_rate1:s", "mac_rate1:s=x", "sinr:k=1", "mac_rate1:q=1"])
 def test_parse_cost_rejects(text):
-    with pytest.raises(ValueError):
-        parse_cost(text)
+    for parse in (parse_cost, builtin):
+        with pytest.raises(ValueError):
+            parse(text)
+
+
+def test_parse_cost_is_builtin():
+    assert parse_cost is builtin
+
+
+def test_spec_and_keyword_parameters_join():
+    assert builtin("MAC_RATE1", snr_db=3).params == builtin("mac_rate1:snr_db=3").params
+    # A swept keyword the spec also sets would otherwise be overridden on every row.
+    with pytest.raises(ValueError, match="'snr_db' is given twice"):
+        builtin("mac_rate1:snr_db=3", snr_db=5)
+    with pytest.raises(ValueError, match="'s' is given twice"):
+        builtin("mac_rate1:s=1,s=2")
 
 
 def test_repr_mentions_parameters():

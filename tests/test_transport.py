@@ -254,6 +254,19 @@ class TestCouplingExpectations:
             res = independent_expectation(cost, E1, E2)
             assert 0.0 < res.truncation <= res.error
 
+    def test_non_finite_cost_at_a_truncation_edge_raises(self):
+        # x + y, but inf exactly at the eps-quantile of one axis: no Gauss-Kronrod
+        # node reaches it, only the truncation witness does, outer or inner.
+        q = float(E1.quantile(transport._EPS))
+
+        def edge(axis):
+            return CostFunction(name="edge", fn=lambda x, y: np.where((x, y)[axis] == q, np.inf, x + y))
+
+        with pytest.raises(QuadratureError, match="non-finite at a truncation edge"):
+            comonotonic_expectation(edge(0), E1, E1)
+        with pytest.raises(QuadratureError, match="non-finite at an inner truncation edge"):
+            independent_expectation(edge(1), E1, E1)
+
 
 class TestBreakpoints:
     """Integrands start on the panels between their cut points; a bounded axis is not truncated."""
