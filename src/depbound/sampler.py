@@ -24,6 +24,7 @@ the error.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -124,7 +125,8 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
 
     Returns an ``McEstimate``; identical (seed, n, coupling) reproduce
     it bit for bit, whatever the number of threads.  ``n`` must be at
-    least 100, small enough samples say nothing and hide stderr bugs.
+    least 100, small enough samples say nothing and hide stderr bugs, and
+    ``seed`` a non-negative integer (``bool`` is not one).
     The sample is evaluated and its moments merged in chunks of
     ``_CHUNK`` draws, which define the result; memory is chunk-sized
     temporaries plus 16 bytes per chunk.  ``cost`` and the marginals may
@@ -135,6 +137,8 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
     n = int(n)
     if n < 100:
         raise ValueError(f"need n >= 100, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     seed = int(seed)
 
     t = COUPLING_MAPS.get(coupling)

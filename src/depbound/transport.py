@@ -19,16 +19,18 @@ bisected while its gap exceeds rel_tol * (the sum of |K15| over its own
 integrand's panels); each row of a sweep has its own subdivision budget.
 Each integrand starts on the panels between its cut points, the
 ``breakpoints`` of its marginals (cdf levels where a quantile steps,
-read through ``getattr``, none by default), with a breakpoint b of Y cut
-at T(b) in a coupled integral; a step there is integrated exactly.
-Endpoints are truncated to [eps, 1 - eps] and the discarded tails are
-reported as an explicit truncation bound eps * (|f(eps)| + |f(1 - eps)|)
-instead of being silently dropped; a quantile that overflows at eps or
-1 - eps raises ``QuadratureError`` before any pass.  An axis whose
-marginals all have a ``support`` (Uniform, Bernoulli) has no tail: it
-runs over [0, 1] and reports zero truncation, and a node or its image
-1 - u that rounds onto 0 or 1 reads the nearest float inside.  The tolerance, eps and the
-budget are fixed module constants; no caller sets them.
+none by default), with a breakpoint b of Y cut at T(b) in a coupled
+integral; a step there is integrated exactly.  Endpoints are truncated
+to [eps, 1 - eps] and the discarded tails are reported as an explicit
+truncation bound eps * (|f(eps)| + |f(1 - eps)|) instead of being
+silently dropped; a quantile that overflows at eps or 1 - eps raises
+``QuadratureError`` before any pass.  An axis whose marginals all have
+a ``support`` (Uniform, Bernoulli) has no tail: it runs over [0, 1] and
+reports zero truncation, and a node or its image 1 - u that rounds onto
+0 or 1 reads the nearest float inside.  ``_axis`` holds these rules for
+one marginal, X's and Y's alike: the finite-edge check, the cuts, and
+bounded when supported.  The tolerance, eps and the budget are fixed
+module constants; no caller sets them.
 """
 
 from __future__ import annotations
@@ -239,18 +241,23 @@ def adaptive_quadrature(f, a, b):
     return float(values[0]), float(errors[0])
 
 
-def _breaks(marginal):
-    """The cdf levels where ``marginal``'s quantile jumps; a duck-typed marginal has none."""
-    return getattr(marginal, "breakpoints", ())
-
-
-def _axis(*marginals):
-    """(quantiles, bounded) of the marginals on one axis, bounded when each has a ``support`` (a
-    duck-typed one has none).  A bounded axis runs over [0, 1], where a node or its image 1 - u can
-    round onto an end; its quantiles read an argument of 0 or 1 as the nearest float inside."""
-    if not all(getattr(m, "support", None) is not None for m in marginals):
-        return [m.quantile for m in marginals], False
-    return [lambda u, q=m.quantile: q(np.clip(u, 5e-324, 1.0 - 2.0**-53)) for m in marginals], True
+def _axis(marginal, label):
+    """(quantile, bounded, edges, cuts) of ``marginal`` on axis ``label``.  ``edges`` are its
+    quantiles at [eps, 1 - eps], which bound every node as quantiles are nondecreasing; ``cuts``
+    are its ``breakpoints``.  It is ``bounded`` when it has a ``support``, and then its quantile
+    reads an argument of 0 or 1, where a node or its image 1 - u can round, as the nearest float
+    inside.  Both attributes are read through ``getattr``: a duck-typed marginal has neither."""
+    with np.errstate(over="ignore"):
+        edges = marginal.quantile(np.array([_EPS, 1.0 - _EPS]))
+    if not np.all(np.isfinite(edges)):
+        raise QuadratureError(
+            f"quantile of {label} ({marginal.name}) overflows inside the integrated range: "
+            f"q({_EPS!r}) = {float(edges[0])!r}, q(1 - {_EPS!r}) = {float(edges[1])!r}"
+        )
+    cuts, q = getattr(marginal, "breakpoints", ()), marginal.quantile
+    if getattr(marginal, "support", None) is None:
+        return q, False, edges, cuts
+    return lambda u: q(np.clip(u, 5e-324, 1.0 - 2.0**-53)), True, edges, cuts
 
 
 def _start_panels(n, cuts, bounded):
@@ -271,8 +278,11 @@ def _unit_rows(f, n_rows, cuts=(), bounded=False):
     truncation = np.zeros(n_rows)
     if not bounded:
         ends = np.tile([eps, 1.0 - eps], (n_rows, 1))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            edge = np.abs(np.asarray(f(ends, idx[:, None]), dtype=float)).reshape(ends.shape)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                edge = np.abs(np.asarray(f(ends, idx[:, None]), dtype=float)).reshape(ends.shape)
+        except QuadratureError as exc:
+            raise QuadratureError(f"integrand failed at a truncation edge (eps={eps!r}): {exc}", row=exc.row) from None
         if not np.all(np.isfinite(edge)):
             raise QuadratureError(f"integrand is non-finite at a truncation edge (eps={eps!r})")
         truncation = eps * (edge[:, 0] + edge[:, 1])
@@ -295,27 +305,14 @@ def _row_cost(costs):
     return lambda rows, x, y: CostFunction(first.name, first.fn, params={k: p[rows] for k, p in columns.items()})(x, y)
 
 
-def _edge_quantiles(marginal, axis):
-    """``marginal`` at [eps, 1 - eps]; quantiles are nondecreasing, so finite ends bound every node."""
-    with np.errstate(over="ignore"):
-        edges = marginal.quantile(np.array([_EPS, 1.0 - _EPS]))
-    if not np.all(np.isfinite(edges)):
-        raise QuadratureError(
-            f"quantile of {axis} ({marginal.name}) overflows inside the integrated range: "
-            f"q({_EPS!r}) = {float(edges[0])!r}, q(1 - {_EPS!r}) = {float(edges[1])!r}"
-        )
-    return edges
-
-
 def _coupled_rows(costs, fx, fy, coupling):
     """Expectations of ``costs`` under the map ``COUPLING_MAPS[coupling]``."""
-    _edge_quantiles(fx, "X")
-    _edge_quantiles(fy, "Y")
+    qx, x_bounded, _, x_cuts = _axis(fx, "X")
+    qy, y_bounded, _, y_cuts = _axis(fy, "Y")
     t, cost = COUPLING_MAPS[coupling], _row_cost(costs)
     # Y = qy(t(u)) jumps where t(u) is a breakpoint b of Y: at u = t(b), as t is its own inverse.
-    cuts = [*_breaks(fx), *map(t, _breaks(fy))]
-    (qx, qy), bounded = _axis(fx, fy)
-    return _unit_rows(lambda u, which: cost(which, qx(u), qy(t(u))), len(costs), cuts, bounded)
+    cuts = [*x_cuts, *map(t, y_cuts)]
+    return _unit_rows(lambda u, which: cost(which, qx(u), qy(t(u))), len(costs), cuts, x_bounded and y_bounded)
 
 
 def comonotonic_expectation(cost, fx, fy):
@@ -330,17 +327,16 @@ def countermonotonic_expectation(cost, fx, fy):
 
 def _independent_rows(costs, fx, fy):
     """Independent expectations of ``costs``: one outer and one inner worklist for all."""
-    _edge_quantiles(fx, "X")
-    y_edges = _edge_quantiles(fy, "Y")
+    qx, x_bounded, _, x_cuts = _axis(fx, "X")
+    qy, y_bounded, y_edges, y_cuts = _axis(fy, "Y")
     eps, cost = _EPS, _row_cost(costs)
-    ((qx,), x_bounded), ((qy,), y_bounded) = _axis(fx), _axis(fy)
     inner_err, inner_trunc = np.zeros((2, len(costs)))
 
     def outer(u, which):
         # One inner integrand per outer node; ``x[inner]`` is a (P, 1) column.
         x = qx(u).ravel()
         rows = np.broadcast_to(which, u.shape).ravel()
-        lo, hi, owner = _start_panels(u.size, _breaks(fy), y_bounded)
+        lo, hi, owner = _start_panels(u.size, y_cuts, y_bounded)
         vals, errs = _gk_worklist(
             lambda v, inner: cost(rows[inner], x[inner], qy(v)), lo, hi,
             _REL_TOL * 1e-2, group=rows, owner=owner,
@@ -354,7 +350,7 @@ def _independent_rows(costs, fx, fy):
             np.maximum.at(inner_trunc, rows, eps * edge)
         return vals.reshape(u.shape)
 
-    outer_rows = _unit_rows(outer, len(costs), _breaks(fx), x_bounded)
+    outer_rows = _unit_rows(outer, len(costs), x_cuts, x_bounded)
     outers = zip(outer_rows, inner_err.tolist(), inner_trunc.tolist())
     return [Expectation(r.value, r.error + err + trunc, r.truncation + trunc) for r, err, trunc in outers]
 

@@ -201,6 +201,11 @@ class TestMc:
         _fail(capsys, ["mc", "--cost", "additive", "--fx", "exp:1", "--fy", "exp:1",
                        "--coupling", "ind", "--n", "50"], 1)
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        err = _fail(capsys, ["mc", "--cost", "additive", "--fx", "exp:1", "--fy", "exp:1",
+                             "--coupling", "ind", "--n", "1000", "--seed", "-1"], 1)
+        assert "seed" in err
+
     def test_overflow_is_numerical_error(self, capsys):
         err = _fail(capsys, ["mc", "--cost", "product", "--fx", "lognormal:0,1000",
                              "--fy", "lognormal:0,1000", "--coupling", "co",

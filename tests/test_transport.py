@@ -266,6 +266,17 @@ class TestCouplingExpectations:
             comonotonic_expectation(edge(0), E1, E1)
         with pytest.raises(QuadratureError, match="non-finite at an inner truncation edge"):
             independent_expectation(edge(1), E1, E1)
+        # At the outer edge u = eps, the inner pass meets the inf at one of its own nodes.
+        with pytest.raises(QuadratureError, match="truncation edge"):
+            independent_expectation(edge(0), E1, E1)
+
+    @pytest.mark.parametrize("expectation", [comonotonic_expectation, independent_expectation])
+    def test_overflowing_quantile_names_x_before_y(self, expectation):
+        fat = LogNormal(0.0, 150.0)
+        with pytest.raises(QuadratureError, match=r"^quantile of X \(lognormal"):
+            expectation(builtin("product"), fat, fat)
+        with pytest.raises(QuadratureError, match=r"^quantile of Y \(lognormal"):
+            expectation(builtin("product"), E1, fat)
 
 
 class TestBreakpoints:
