@@ -12,11 +12,14 @@ relative or better away from the support edges).
 Draws come from ``sampler.mc_expectation``, which runs its parts on a
 thread pool, so ``quantile`` may be called from two threads at once.
 
-Nakagami, LogNormal and Rician import ``scipy.special`` inside the
-methods that call it.  Importing scipy costs more than most CLI commands
-compute, so this module loads only numpy and the standard library
-(``import depbound`` loads no submodule at all, see the package
-docstring), and commands on the other families never pay for scipy.
+Nakagami, LogNormal and Rician reach ``scipy.special`` only through
+``_special()``, which imports it on first use: importing scipy costs more
+than most CLI commands compute, and ``import depbound`` loads no submodule
+(see the package docstring), so commands on other families never pay for
+it.  Nakagami and Rician quantiles invert by iteration, and the nested
+independent integral repeats its inner levels, so ``_per_level`` inverts
+each distinct level once.  Every cdf and mean, and LogNormal's ``ndtri``,
+stay per point: ``np.unique`` costs more than ``ndtri`` per Monte Carlo draw.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ __all__ = [
     "Bernoulli",
     "parse_marginal",
 ]
+
+def _special():
+    from scipy import special
+
+    return special
+
+
+def _per_level(invert, u):
+    levels, where = np.unique(u, return_inverse=True)
+    return invert(levels)[where].reshape(u.shape)
+
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
@@ -183,21 +197,15 @@ class Nakagami(Marginal):
             raise ValueError(f"nakagami: omega must be positive, got {self.omega!r}")
 
     def _cdf(self, x):
-        from scipy import special
-
         z = np.maximum(x, 0.0)
-        return np.where(x > 0.0, special.gammainc(self.m, self.m * z * z / self.omega), 0.0)
+        return np.where(x > 0.0, _special().gammainc(self.m, self.m * z * z / self.omega), 0.0)
 
     def _quantile(self, u):
-        from scipy import special
-
-        return np.sqrt(self.omega / self.m * special.gammaincinv(self.m, u))
+        return _per_level(lambda v: np.sqrt(self.omega / self.m * _special().gammaincinv(self.m, v)), u)
 
     def mean(self):
-        from scipy import special
-
         # Gamma(m + 1/2) / Gamma(m) in log space; the ratio overflows early otherwise.
-        ratio = math.exp(special.gammaln(self.m + 0.5) - special.gammaln(self.m))
+        ratio = math.exp(_special().gammaln(self.m + 0.5) - _special().gammaln(self.m))
         return ratio * math.sqrt(self.omega / self.m)
 
 
@@ -216,17 +224,13 @@ class LogNormal(Marginal):
             raise ValueError(f"lognormal: sigma must be positive, got {self.sigma!r}")
 
     def _cdf(self, x):
-        from scipy import special
-
         out = np.zeros_like(x)
         pos = x > 0.0
-        out[pos] = special.ndtr((np.log(x[pos]) - self.mu) / self.sigma)
+        out[pos] = _special().ndtr((np.log(x[pos]) - self.mu) / self.sigma)
         return out
 
     def _quantile(self, u):
-        from scipy import special
-
-        return np.exp(self.mu + self.sigma * special.ndtri(u))
+        return np.exp(self.mu + self.sigma * _special().ndtri(u))
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma * self.sigma)
@@ -261,22 +265,16 @@ class Rician(Marginal):
             raise ValueError(f"rician: scale must be positive, got {self.scale!r}")
 
     def _cdf(self, x):
-        from scipy import special
-
-        return special.chndtr((np.maximum(x, 0.0) / self.scale) ** 2, 2.0, 2.0 * self.k)
+        return _special().chndtr((np.maximum(x, 0.0) / self.scale) ** 2, 2.0, 2.0 * self.k)
 
     def _quantile(self, u):
-        from scipy import special
-
-        return self.scale * np.sqrt(special.chndtrix(u, 2.0, 2.0 * self.k))
+        return _per_level(lambda v: self.scale * np.sqrt(_special().chndtrix(v, 2.0, 2.0 * self.k)), u)
 
     def mean(self):
-        from scipy import special
-
         # scale * sqrt(pi/2) * exp(-k/2) * ((1+k) I0(k/2) + k I1(k/2)), with
         # the exponential folded into the scaled Bessel functions.
         half = 0.5 * self.k
-        bessel = (1.0 + self.k) * special.i0e(half) + self.k * special.i1e(half)
+        bessel = (1.0 + self.k) * _special().i0e(half) + self.k * _special().i1e(half)
         return float(self.scale * math.sqrt(math.pi / 2.0) * bessel)
 
 

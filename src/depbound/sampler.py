@@ -124,9 +124,9 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
     """Estimate E[c(X, Y)] under one canonical coupling.
 
     Returns an ``McEstimate``; identical (seed, n, coupling) reproduce
-    it bit for bit, whatever the number of threads.  ``n`` must be at
-    least 100, small enough samples say nothing and hide stderr bugs, and
-    ``seed`` a non-negative integer (``bool`` is not one).
+    it bit for bit, whatever the number of threads.  ``n`` must be an
+    integer of at least 100, small enough samples say nothing and hide
+    stderr bugs, and ``seed`` a non-negative integer (``bool`` is neither).
     The sample is evaluated and its moments merged in chunks of
     ``_CHUNK`` draws, which define the result; memory is chunk-sized
     temporaries plus 16 bytes per chunk.  ``cost`` and the marginals may
@@ -134,12 +134,11 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r} (known: {', '.join(COUPLINGS)})")
-    n = int(n)
-    if n < 100:
-        raise ValueError(f"need n >= 100, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 100:
+        raise ValueError(f"n must be an integer >= 100, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    seed = int(seed)
+    n, seed = int(n), int(seed)
 
     t = COUPLING_MAPS.get(coupling)
     root = np.random.SeedSequence(seed)

@@ -119,6 +119,20 @@ def test_nakagami_m_one_is_rayleigh():
     assert nak.mean() == pytest.approx(ray.mean(), rel=1e-12)
 
 
+@pytest.mark.parametrize("dist,inverse", [(Rician(8.0, 1.0), "chndtrix"), (Nakagami(2.5, 1.0), "gammaincinv")])
+def test_iterative_quantiles_invert_each_distinct_level_once(dist, inverse, monkeypatch):
+    # The nested independent integral hands qy one row of inner levels per outer node.
+    tile = np.tile(np.linspace(0.02, 0.98, 15), (40, 1))
+    expected = np.array([[dist.quantile(float(u)) for u in row] for row in tile])
+    sizes = []
+    real = getattr(special, inverse)
+    monkeypatch.setattr(special, inverse, lambda *args: sizes.append(np.broadcast(*args).size) or real(*args))
+    got = dist.quantile(tile)
+    assert sizes == [15]
+    assert got.shape == tile.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_lognormal_mean():
     assert LogNormal(0.3, 1.1).mean() == pytest.approx(math.exp(0.3 + 1.1**2 / 2), rel=1e-14)
 

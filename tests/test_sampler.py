@@ -152,6 +152,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             mc_expectation(builtin("additive"), E1, E2, "independent", 99, seed=0)
 
+    @pytest.mark.parametrize("n", [150.7, True, 1e6])
+    def test_rejects_an_n_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            mc_expectation(builtin("additive"), E1, E2, "independent", n, seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -161,6 +166,11 @@ class TestValidation:
         est = mc_expectation(builtin("additive"), E1, E2, "independent", 1_000, seed=np.int64(3))
         assert est == mc_expectation(builtin("additive"), E1, E2, "independent", 1_000, seed=3)
         assert type(est.seed) is int
+
+    def test_numpy_integer_n_is_accepted(self):
+        est = mc_expectation(builtin("additive"), E1, E2, "independent", np.int64(1_000), seed=3)
+        assert est == mc_expectation(builtin("additive"), E1, E2, "independent", 1_000, seed=3)
+        assert type(est.n) is int
 
     def test_rejects_unknown_coupling(self):
         with pytest.raises(ValueError, match="coupling"):
