@@ -1,14 +1,16 @@
 """Bivariate performance functions c(x, y) on the nonnegative quadrant.
 
-Each builtin carries its analytic mixed partial d2c/dxdy, whose exact
-sign ``check_mixed_partial`` reads as the second lattice route beside
-the cross-differences.  Arguments must be nonnegative (channel gains or
-envelopes); negative input raises rather than clamps, since a negative
-gain always means a caller bug.
+Each builtin is declared once, with its analytic mixed partial d2c/dxdy,
+whose exact sign ``check_mixed_partial`` reads as the second lattice
+route beside the cross-differences: ``mac_rate1`` by its factory, every
+other builtin as one row of ``_FIXED``.  Arguments must be nonnegative
+(channel gains or envelopes); negative input raises rather than clamps,
+since a negative gain always means a caller bug.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,15 +73,6 @@ def _broadcast(value, x, y):
     return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
 
-def _make_sinr():
-    # Signal power x against interference power y on unit noise.
-    return CostFunction(
-        name="sinr",
-        fn=lambda x, y: x / (1.0 + y),
-        mixed_partial=lambda x, y: -1.0 / (1.0 + y) ** 2,
-    )
-
-
 def _mac_rate1(x, y, s):
     # log2(1 + x/(s+y)) written as a log difference; log1p(x/(s+y))
     # loses nothing here and avoids a huge intermediate for tiny s.
@@ -111,52 +104,29 @@ def _make_mac_rate1(s=None, snr_db=None):
     return CostFunction(name="mac_rate1", fn=_mac_rate1, mixed_partial=_mac_rate1_partial, params={"s": s})
 
 
-def _make_sum_rate():
-    return CostFunction(
-        name="sum_rate",
-        fn=lambda x, y: np.log1p(x + y) / _LN2,
-        mixed_partial=lambda x, y: -1.0 / ((1.0 + x + y) ** 2 * _LN2),
-    )
+_unit_noise_partial = functools.partial(_mac_rate1_partial, s=1.0)
 
-
-def _make_secret_key():
+# Each builtin without parameters, once: name -> (c(x, y), d2c/dxdy).
+_FIXED = {
+    # Signal power x against interference power y on unit noise.
+    "sinr": (lambda x, y: x / (1.0 + y), lambda x, y: -1.0 / (1.0 + y) ** 2),
+    "sum_rate": (lambda x, y: np.log1p(x + y) / _LN2, _unit_noise_partial),
     # log2((1+x+y)/(1+y)): what the pair can agree on minus what the
-    # second channel leaks.  Written as log1p(x/(1+y)), not a difference
-    # of two logs, which cancels every digit when x << y.  Same mixed
-    # partial as sum_rate.
-    return CostFunction(
-        name="secret_key",
-        fn=lambda x, y: np.log1p(x / (1.0 + y)) / _LN2,
-        mixed_partial=lambda x, y: -1.0 / ((1.0 + x + y) ** 2 * _LN2),
-    )
-
-
-def _make_prop_fair():
-    # Proportional-fair style utility; the only supermodular builtin.
-    return CostFunction(
-        name="prop_fair",
-        fn=lambda x, y: np.log1p(x) * np.log1p(y),
-        mixed_partial=lambda x, y: 1.0 / ((1.0 + x) * (1.0 + y)),
-    )
-
-
-def _make_product():
-    return CostFunction(name="product", fn=lambda x, y: x * y, mixed_partial=lambda x, y: 1.0)
-
-
-def _make_additive():
-    return CostFunction(name="additive", fn=lambda x, y: x + y, mixed_partial=lambda x, y: 0.0)
-
-
-BUILTIN_COSTS = {
-    "sinr": _make_sinr,
-    "mac_rate1": _make_mac_rate1,
-    "sum_rate": _make_sum_rate,
-    "secret_key": _make_secret_key,
-    "prop_fair": _make_prop_fair,
-    "product": _make_product,
-    "additive": _make_additive,
+    # second channel leaks, i.e. mac_rate1 at s = 1; its one log1p(x/(1+y))
+    # keeps the digits a difference of two logs cancels when x << y.
+    "secret_key": (functools.partial(_mac_rate1, s=1.0), _unit_noise_partial),
+    "prop_fair": (lambda x, y: np.log1p(x) * np.log1p(y), lambda x, y: 1.0 / ((1.0 + x) * (1.0 + y))),
+    "product": (lambda x, y: x * y, lambda x, y: 1.0),
+    "additive": (lambda x, y: x + y, lambda x, y: 0.0),
 }
+
+
+def _fixed(name, fn, mixed_partial):
+    # No parameters, so ``builtin`` reports any key, even a CostFunction field, as not taken.
+    return lambda: CostFunction(name, fn, mixed_partial)
+
+
+BUILTIN_COSTS = {"mac_rate1": _make_mac_rate1, **{name: _fixed(name, *row) for name, row in _FIXED.items()}}
 
 
 def builtin(spec, **params):

@@ -25,7 +25,7 @@ stay per point: ``np.unique`` costs more than ``ndtri`` per Monte Carlo draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -305,12 +305,12 @@ class Bernoulli(Marginal):
 
 
 _FAMILIES = {
-    "exp": (Exponential, 1),
-    "uniform": (Uniform, 2),
-    "rayleigh": (Rayleigh, 1),
-    "nakagami": (Nakagami, 2),
-    "lognormal": (LogNormal, 2),
-    "rician": (Rician, 2),
+    "exp": Exponential,
+    "uniform": Uniform,
+    "rayleigh": Rayleigh,
+    "nakagami": Nakagami,
+    "lognormal": LogNormal,
+    "rician": Rician,
 }
 
 
@@ -326,7 +326,8 @@ def parse_marginal(text):
     if name not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown marginal family {name!r} (known: {known})")
-    cls, arity = _FAMILIES[name]
+    cls = _FAMILIES[name]
+    arity = len(fields(cls))
     if not sep:
         raise ValueError(f"marginal {name!r} needs {arity} parameter(s), e.g. 'exp:1.0'")
     try:

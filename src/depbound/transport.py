@@ -470,6 +470,7 @@ def bounds_sweep(cost_factory, params, fx, fy):
     panel batch.  A sweep is one cost function with different
     parameters: every row's ``fn`` and parameter names must be the first
     row's, else ``ValueError`` before any classification or quadrature.
+    Every build of a builtin shares its ``fn``, so any builtin passes.
     A ``neither`` row aborts the sweep (``ClassificationError``) before
     any quadrature.  Each coupling's integrals of all rows share
     one worklist, each row on its own budget, so a row fails as alone;

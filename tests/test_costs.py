@@ -31,7 +31,17 @@ def test_secret_key_equals_unit_noise_mac_rate():
     rng = np.random.default_rng(11)
     x = rng.uniform(0, 20, 200)
     y = rng.uniform(0, 20, 200)
-    np.testing.assert_allclose(sk(x, y), mac(x, y), rtol=1e-12)
+    np.testing.assert_array_equal(sk(x, y), mac(x, y))
+    np.testing.assert_array_equal(sk.cross_partial(x, y), mac.cross_partial(x, y))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_each_builtin_is_built_from_one_function(name):
+    # Two builds share their function objects, so a sweep of a fixed
+    # builtin passes bounds_sweep's one-function rule.
+    first, second = _make(name), _make(name)
+    assert first.fn is second.fn
+    assert first.mixed_partial is second.mixed_partial
 
 
 def test_mac_rate1_snr_db_parameterization():
@@ -151,6 +161,13 @@ def test_parse_cost_rejects(text):
     for parse in (parse_cost, builtin):
         with pytest.raises(ValueError):
             parse(text)
+
+
+@pytest.mark.parametrize("key", ["s", "params"])
+def test_a_fixed_cost_takes_no_parameters(key):
+    # Not even a keyword of CostFunction itself.
+    with pytest.raises(ValueError, match=rf"^cost 'sinr' does not take parameters \['{key}'\]$"):
+        builtin(f"sinr:{key}=1")
 
 
 def test_parse_cost_is_builtin():

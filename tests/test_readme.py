@@ -1,10 +1,13 @@
-"""The README's library recipes run and print what their comments say."""
+"""The README's library recipes run and print what their comments say, and its Costs table is the code's."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from depbound.costs import BUILTIN_COSTS, builtin
+from depbound.monge import check_cross_difference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,3 +36,14 @@ def test_collision_recipe_prints_its_comment():
 
 def test_sweep_recipe_prints_its_comment():
     _check_python_block(2)
+
+
+def test_costs_table_lists_each_builtin_with_its_structure():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Costs\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in row.strip("|").split("|")] for row in table.splitlines()[2:]]
+    structure = [(name.strip("`"), cell.split()[0]) for name, _, cell in rows]
+    assert sorted(name for name, _ in structure) == sorted(BUILTIN_COSTS)
+    for name, label in structure:
+        cost = builtin(name, s=1.0) if name == "mac_rate1" else builtin(name)
+        assert check_cross_difference(cost, (0, 10, 0, 10), n=64).classification == label, name

@@ -454,7 +454,8 @@ class TestBounds:
         assert res.upper == pytest.approx(truncated, abs=res.upper_err)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the truncation bound eps * |f(eps)| misses the "
-                                           "[0, eps] tail of E[X^2] = 2 / lam^2 for X ~ Exp(lam)")
+                                           "upper tail E[X^2; X > q(1 - eps)] of E[X^2] = 2 / lam^2 for "
+                                           "X ~ Exp(lam)")
     @pytest.mark.parametrize("lam", [1.0, 1e5])
     def test_comonotonic_second_moment_within_error(self, lam):
         fx = Exponential(lam)
@@ -612,6 +613,17 @@ class TestSweep:
 
         single = classified_bounds(cost(snr_db), fx, fy, include_independent=True)
         assert bounds_sweep(cost, [snr_db], fx, fy) == [single]
+
+    def test_sweep_of_a_fixed_builtin(self):
+        # Every build of a builtin shares its function, so the one-function
+        # rule passes; the two rows share a panel batch, hence rel 1e-12.
+        rows = bounds_sweep(lambda p: builtin("sinr"), [0.0, 1.0], E1, E2)
+        assert len(rows) == 2
+        alone = classified_bounds(builtin("sinr"), E1, E2, include_independent=True)
+        for got in rows:
+            assert got.classification_used == alone.classification_used
+            for key in ("lower", "upper", "independent"):
+                assert getattr(got, key) == pytest.approx(getattr(alone, key), rel=1e-12)
 
     def test_empty_sweep(self):
         assert bounds_sweep(self._mixed, [], E1, E1) == []
