@@ -251,10 +251,9 @@ def _cmd_monge(args):
 def _cmd_collision(args):
     """Each user picks resource one with probability p_i; a slot succeeds when they differ.
 
-    X ~ Bernoulli(1 - p1) and Y ~ Bernoulli(1 - p2) mark the picks of resource two, so success
-    is E[x + y - 2xy] and p11 = P(both on resource two) is E[xy], each bounded by
-    ``classified_bounds``.  Success and the picks' correlation are linear in p11."""
-    from .costs import CostFunction
+    X ~ Bernoulli(1 - p1) and Y ~ Bernoulli(1 - p2) mark the picks of resource two; one ``classified_bounds``
+    call on ``product`` bounds p11 = P(both on resource two) = E[xy].  Success (q1 - p11) + (q2 - p11) and the
+    picks' correlation are affine in p11, so each is read off it, the independent value at p11 = q1 q2."""
     from .marginals import Bernoulli
     from .transport import classified_bounds
     p1, p2 = args.p1, args.p2
@@ -262,10 +261,7 @@ def _cmd_collision(args):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{label} must be a probability in [0, 1], got {p!r}")
     q1, q2 = 1.0 - p1, 1.0 - p2
-    fx, fy = Bernoulli(q1), Bernoulli(q2)
-    cost = CostFunction("success", lambda x, y: x + y - 2.0 * x * y)
-    success = classified_bounds(cost, fx, fy, include_independent=True)
-    both = classified_bounds(builtin("product"), fx, fy)
+    both = classified_bounds(builtin("product"), Bernoulli(q1), Bernoulli(q2))
     lo, hi = both.lower, both.upper
     spread = math.sqrt(p1 * q1 * p2 * q2)
 
@@ -275,9 +271,9 @@ def _cmd_collision(args):
         return None if spread == 0.0 else min(max((p11 - q1 * q2) / spread, -1.0), 1.0)
 
     payload = {
-        "u_independent": success.independent,
+        "u_independent": p1 * q2 + q1 * p2,
         "p11_range": [lo, hi],
-        "u_range": [success.lower, success.upper],
+        "u_range": [(q1 - hi) + (q2 - hi), (q1 - lo) + (q2 - lo)],
         "rho_range": None if spread == 0.0 else [rho(lo), rho(hi)],
     }
     if args.p11 is not None:

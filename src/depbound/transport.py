@@ -21,16 +21,18 @@ Each integrand starts on the panels between its cut points, the
 ``breakpoints`` of its marginals (cdf levels where a quantile steps,
 none by default), with a breakpoint b of Y cut at T(b) in a coupled
 integral; a step there is integrated exactly.  Endpoints are truncated
-to [eps, 1 - eps] and the discarded tails are reported as an explicit
-truncation bound eps * (|f(eps)| + |f(1 - eps)|) instead of being
-silently dropped; a quantile that overflows at eps or 1 - eps raises
-``QuadratureError`` before any pass.  An axis whose marginals all have
-a ``support`` (Uniform, Bernoulli) has no tail: it runs over [0, 1] and
-reports zero truncation, and a node or its image 1 - u that rounds onto
-0 or 1 reads the nearest float inside.  ``_axis`` holds these rules for
-one marginal, X's and Y's alike: the finite-edge check, the cuts, and
-bounded when supported.  The tolerance, eps and the budget are fixed
-module constants; no caller sets them.
+to [eps, 1 - eps] and the discarded tails are reported as a truncation
+estimate eps * (|f(eps)| + |f(1 - eps)|) from these edge witnesses
+instead of being silently dropped; on a heavy upper tail it is no bound
+(ROADMAP item 3(a)).  A quantile that overflows at eps or 1 - eps raises
+``QuadratureError`` before any pass.  An axis whose marginals all have a
+``support`` (Uniform, Bernoulli) has no tail, so the estimate is exact:
+it runs over [0, 1] and reports zero truncation, and a node or its image
+1 - u that rounds onto 0 or 1 reads the nearest float inside.
+``_axis`` holds these rules for one marginal, X's and Y's alike: the
+finite-edge check, the cuts, and bounded when supported.  The
+tolerance, eps and the budget are fixed module constants; no caller
+sets them.
 """
 
 from __future__ import annotations

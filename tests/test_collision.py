@@ -5,10 +5,12 @@ when the picks differ.  With q_i = 1 - p_i, the joint law of the picks
 has one free parameter, p11 = P(both pick resource two), feasible on
 [max(0, q1 + q2 - 1), min(q1, q2)].  Success 2 - p1 - p2 - 2 p11 and the
 picks' correlation (p11 - q1 q2) / sqrt(p1 q1 p2 q2) are linear in it.
-These closed forms are the oracle here; the command computes the ranges
-as coupling integrals over two Bernoulli marginals.
+These closed forms are the oracle here; the command computes the p11
+range as one coupling integral over two Bernoulli marginals and reads
+the other fields off it.
 """
 
+import json
 import math
 
 import numpy as np
@@ -195,16 +197,22 @@ class TestGrid:
     def test_loads_within_rounding_of_an_end(self, capsys):
         # Such a load puts a cut within 1e-15 of 0 or 1, and near a degenerate marginal the
         # rounding in p11 swamps the spread of the picks, so rho is held to [-1, 1].
+        # u_range is the image of the p11 range, so it is ordered even where the upper end of p11 cannot
+        # see an atom above 1 - 2^-53 (0.9999999999999999 against 1 - 1e-15), and the independent
+        # success is printed from its closed form (0.0 against 1e-300 is 1e-300, not 0).
         near = [1e-200, 1e-17, 1e-15, 1.0 - 1e-15, 0.9999999999999999]
-        for p1 in near:
-            for p2 in GRID + near:
-                oracle, _, _ = _closed_form(p1, p2)
-                doc = _collision(p1, p2)
-                for key in ("u_independent", "p11_range", "u_range"):
-                    assert doc[key] == pytest.approx(oracle[key], rel=0.0, abs=1e-15), (p1, p2, key)
-                assert doc["rho_range"] is None or all(-1.0 <= r <= 1.0 for r in doc["rho_range"]), (p1, p2)
-                assert cli.run(_argv(p1, p2)) == 0
-                assert capsys.readouterr().err == ""
+        for p1, p2 in [(p1, p2) for p1 in near for p2 in GRID + near] + [(0.0, 1e-300)]:
+            oracle, _, _ = _closed_form(p1, p2)
+            doc = _collision(p1, p2)
+            for key in ("u_independent", "p11_range", "u_range"):
+                assert doc[key] == pytest.approx(oracle[key], rel=0.0, abs=1e-15), (p1, p2, key)
+            assert doc["u_range"][0] <= doc["u_range"][1], (p1, p2, doc["u_range"])
+            assert doc["rho_range"] is None or all(-1.0 <= r <= 1.0 for r in doc["rho_range"]), (p1, p2)
+            assert cli.run(_argv(p1, p2)) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed = json.loads(captured.out)
+            assert printed["u_independent"] == float(f"{oracle['u_independent']:.12g}"), (p1, p2)
         # 1 - 1e-200 is 1.0: X is constant, so every coupling has p11 = q2 and the picks are uncorrelated.
         assert _collision(1e-200, 0.5)["rho_range"] == [0.0, 0.0]
 
