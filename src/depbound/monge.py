@@ -32,8 +32,8 @@ class ClassificationError(NumericalError):
     """No usable lattice classification could be established."""
 
 # Relative rounding of a four-term difference: three additions plus a few
-# ulps in each cost evaluation.
-_ROUNDING = 8 * np.finfo(float).eps
+# ulps in each cost evaluation; transport's check for inverted bounds too.
+_ROUNDING = 8 * 2.0**-52
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .costs import CostFunction
 from .errors import NumericalError
-from .monge import ClassificationError, MongeReport, check_cross_difference
+from .monge import _ROUNDING, ClassificationError, MongeReport, check_cross_difference
 
 __all__ = [
     "QuadratureError",
@@ -370,7 +370,8 @@ def independent_expectation(cost, fx, fy):
 
 
 def _bounds_rows(costs, reports, include_independent, co, counter, independent):
-    """Check every report, then one ``BoundsResult`` per cost; ``co(costs)`` etc. integrate."""
+    """Check every report, then one ``BoundsResult`` per cost; ``co(costs)`` etc. integrate.  A row is
+    inverted if lower - upper > lower_err + upper_err + ``_ROUNDING`` * (|lower| + |upper|), with no absolute floor."""
     kinds = [report.classification for report in reports]
     for kind, report in zip(kinds, reports):
         if kind not in ("submodular", "supermodular", "modular"):
@@ -396,11 +397,11 @@ def _bounds_rows(costs, reports, include_independent, co, counter, independent):
             other = next(counters)
             low, high = (both, other) if kind == "submodular" else (other, both)
             ind = next(independents) if include_independent else None
-        slack = max(low.error + high.error, 1e-12)
-        if low.value > high.value + slack:
+        gap, slack = low.value - high.value, low.error + high.error + _ROUNDING * (abs(low.value) + abs(high.value))
+        if gap > slack:
             raise ClassificationError(
-                f"computed bounds are inverted (lower={low.value!r} > upper={high.value!r}); "
-                f"the {kind!r} classification likely fails on the marginals' support"
+                f"computed bounds are inverted: lower {low.value!r} - upper {high.value!r} = {gap!r} > slack "
+                f"{slack!r}; {kind!r} fails on the integrated range, or a bounded axis misses mass above 1 - 2**-53"
             )
         truncs = [low.truncation, high.truncation] + ([ind.truncation] if ind else [])
         results.append(BoundsResult(

@@ -163,6 +163,9 @@ class TestSweep:
                        "--range", "5:-5:1"], 1)
         _fail(capsys, ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1",
                        "--range", "0:10"], 1)
+        err = _fail(capsys, ["sweep", "--cost", "mac_rate1", "--fx", "exp:1", "--fy", "exp:1",
+                             "--range", "a:1:1"], 1)
+        assert "non-numeric range component in 'a:1:1'" in err
 
 
 class TestMc:

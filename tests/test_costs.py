@@ -93,6 +93,11 @@ def test_vectorized_matches_scalar(name):
         assert vec[i] == pytest.approx(cost(float(xs[i]), float(ys[i])), rel=1e-15)
 
 
+def test_cross_partial_without_a_partial_raises():
+    with pytest.raises(ValueError, match="has no analytic mixed partial"):
+        CostFunction("c", lambda x, y: x * y).cross_partial(1.0, 2.0)
+
+
 def test_results_broadcast_over_the_arguments():
     # A value or partial that ignores an argument still gives one value per point.
     x = np.linspace(0.0, 1.0, 3)[:, None]

@@ -181,6 +181,8 @@ def test_parse_marginal_rejects(text):
         lambda: Bernoulli(-0.1),
         lambda: Bernoulli(1.5),
         lambda: Bernoulli(float("nan")),
+        lambda: Uniform(0.0, float("inf")),
+        lambda: LogNormal(float("nan"), 1.0),
     ],
 )
 def test_invalid_parameters_raise(bad):

@@ -519,17 +519,36 @@ class TestBounds:
         return CostFunction(name="kinked", fn=lambda x, y: scale * (
             -x * y + 1e5 * np.maximum(x - 9.3, 0.0) * np.maximum(y - 9.3, 0.0)))
 
-    def test_refuses_inverted_bounds(self):
-        # lower 16.27 > upper -0.355: the box reads submodular, the support does not.
+    @pytest.mark.parametrize("scale", [1e100, 1e10, 1.0, 1e-6, 1e-14, 1e-100, 1e-200])
+    def test_refuses_inverted_bounds(self, scale):
+        # lower 16.27 > upper -0.355 times the scale: the box reads submodular, the support does not.
+        # The slack has no absolute floor, so the refusal must not depend on the scale.
         with pytest.raises(ClassificationError, match="inverted"):
-            classified_bounds(self._kinked(1.0), E1, E1)
+            classified_bounds(self._kinked(scale), E1, E1)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15(d): the inversion slack in _bounds_rows is "
-                                           "floored at 1e-12, so an inversion below it is not refused")
-    def test_refuses_inverted_bounds_at_small_scale(self):
-        # The same cost times 1e-14: lower 1.63e-13 > upper -3.55e-15, inside the absolute floor.
-        with pytest.raises(ClassificationError, match="inverted"):
-            classified_bounds(self._kinked(1e-14), E1, E1)
+    @pytest.mark.parametrize("spec, fx, fy, must_return", [
+        ("sum_rate", Bernoulli(0.0), Bernoulli(1e-15), False),
+        ("sum_rate", Bernoulli(1e-300), Bernoulli(1e-15), False),
+        ("sum_rate", Bernoulli(1e-17), Bernoulli(1e-15), False),
+        ("sum_rate", Bernoulli(1e-16), Bernoulli(1e-15), False),
+        ("sum_rate", Uniform(0.0, 1e-12), Bernoulli(1e-15), False),
+        ("product", Bernoulli(0.9999999999999999), Uniform(0.0, 1e7), True),
+        ("mac_rate1:s=0.5", Uniform(0.0, 1e-12), Bernoulli(1e-16), True),
+    ], ids=["sum_rate-bern0", "sum_rate-bern1e-300", "sum_rate-bern1e-17", "sum_rate-bern1e-16",
+            "sum_rate-unif1e-12", "product-1ulp-at-5e6", "mac_rate1-2ulp-at-1.4e-12"])
+    def test_inversion_slack_is_errors_plus_rounding(self, spec, fx, fy, must_return):
+        # An interval is returned only if lower - upper <= lower_err + upper_err + 8 eps (|lower| +
+        # |upper|).  The sum_rate cases lose mass above 1 - 2^-53 on a bounded axis (ROADMAP item
+        # 15(d)) and compute intervals inverted by 5.55e-17 against errors of at most 7.3e-24; the last
+        # two are inverted by one and two ulps with errors of 0 and 2e-28, which only the rounding term
+        # admits.
+        try:
+            res = classified_bounds(builtin(spec), fx, fy)
+        except ClassificationError as exc:
+            assert not must_return and "inverted" in str(exc)
+            return
+        slack = res.lower_err + res.upper_err + 8 * np.finfo(float).eps * (abs(res.lower) + abs(res.upper))
+        assert res.lower - res.upper <= slack
 
     def test_independent_omitted_by_default(self):
         cost = builtin("sinr")
@@ -681,6 +700,15 @@ class TestSweep:
             classified_bounds(factory(0.01), E1, E1, include_independent=True)
         with pytest.raises(QuadratureError, match=r"subdivisions .* in the row for parameter 0\.01$"):
             bounds_sweep(factory, [0.0] + params + [0.01], E1, E1)
+
+    def test_failure_of_no_row_is_reraised_unchanged(self):
+        # A non-finite integrand is no row's budget running out: the sweep re-raises it as it is.
+        def wall(x, y, a):
+            return np.where(x > 10.0, np.inf, a * x + y)
+
+        with pytest.raises(QuadratureError, match=r"^integrand returned a non-finite value at u=0\.99996\d*$") as info:
+            bounds_sweep(lambda a: CostFunction("wall", wall, params={"a": a}), [1.0, 2.0], E1, E1)
+        assert info.value.row is None
 
     @pytest.mark.xfail(strict=True, reason="_panel_estimates sums K15 and G7 with BLAS dgemv, so a panel's "
                                            "rounding depends on its row in the batch and on the kernel")
