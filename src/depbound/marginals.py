@@ -52,10 +52,6 @@ def _per_level(invert, u):
     return invert(levels)[where].reshape(u.shape)
 
 
-def _as_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def _scalar_like(result, *inputs):
     # Return a bare float when every input was scalar; arrays pass through.
     if all(np.ndim(v) == 0 for v in inputs):
@@ -78,27 +74,18 @@ class Marginal:
 
     def cdf(self, x):
         """P(X <= x).  Defined on all finite reals; 0 below the support."""
-        arr = _as_array(x)
+        arr = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{self.name}: cdf argument must be finite")
         return _scalar_like(self._cdf(arr), x)
 
     def quantile(self, u):
         """Inverse cdf.  ``u`` must lie strictly inside (0, 1)."""
-        arr = _as_array(u)
+        arr = np.asarray(u, dtype=float)
         # min and max are NaN when any element is, and NaN fails both tests.
         if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
             raise ValueError(f"{self.name}: quantile argument must be in the open interval (0, 1)")
         return _scalar_like(self._quantile(arr), u)
-
-    def mean(self):
-        raise NotImplementedError
-
-    def _cdf(self, x):
-        raise NotImplementedError
-
-    def _quantile(self, u):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

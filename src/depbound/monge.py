@@ -14,6 +14,7 @@ refuses to run without a usable classification.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +75,16 @@ def _grid(domain, n):
         raise ValueError(f"domain must be (x0, x1, y0, y1), got {domain!r}") from None
     if not (np.isfinite([x0, x1, y0, y1]).all() and x0 < x1 and y0 < y1):
         raise ValueError(f"domain must have x0 < x1 and y0 < y1, got {domain!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 3:
+        raise ValueError(f"grid resolution must be an integer >= 3, got {n!r}")
     n = int(n)
-    if n < 3:
-        raise ValueError(f"grid resolution must be at least 3, got {n}")
     return (x0, x1, y0, y1), n, np.linspace(x0, x1, n)[:, None], np.linspace(y0, y1, n)[None, :]
 
 
 def _classify(values, bound, domain, n, method):
-    """Label the grid by the signs of ``values`` that exceed ``bound`` (per cell or scalar)."""
+    """Label by the signs of ``values`` beyond ``bound`` (per cell or scalar): the signs present
+    pick the label, the cells of the rarer sign are the violations, and the worst is the excursion
+    past the side the label allows, read off hi = max and lo = -min (a magnitude if modular)."""
     values = np.asarray(values, dtype=float)
     tolerance = float(np.max(bound))
     if not (np.all(np.isfinite(values)) and np.isfinite(tolerance)):
@@ -90,28 +93,17 @@ def _classify(values, bound, domain, n, method):
         )
     npos = int(np.count_nonzero(values > bound))
     nneg = int(np.count_nonzero(values < -bound))
-
-    if npos == 0 and nneg == 0:
-        label = "modular"
-        worst = float(np.max(np.abs(values))) if values.size else 0.0
-        count = 0
-    elif npos == 0:
-        label = "submodular"
-        worst = float(max(np.max(values), 0.0))
-        count = 0
-    elif nneg == 0:
-        label = "supermodular"
-        worst = float(max(-np.min(values), 0.0))
-        count = 0
-    else:
-        label = "neither"
-        # Best one-sided hypothesis: excursion of whichever sign is rarer.
-        worst = float(min(np.max(values), -np.min(values)))
-        count = min(npos, nneg)
+    hi, lo = float(np.max(values)), float(-np.min(values))
+    label, worst = {
+        (False, False): ("modular", abs(max(hi, lo))),
+        (False, True): ("submodular", max(hi, 0.0)),
+        (True, False): ("supermodular", max(lo, 0.0)),
+        (True, True): ("neither", min(hi, lo)),
+    }[npos > 0, nneg > 0]
     return MongeReport(
         classification=label,
         max_violation=worst,
-        violation_count=count,
+        violation_count=min(npos, nneg),
         domain=domain,
         resolution=n,
         tolerance=tolerance,

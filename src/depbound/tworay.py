@@ -15,6 +15,7 @@ environment, not of the marginals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -135,9 +136,9 @@ def envelope_correlation(geom, d_low, d_high, n):
     """
     if not (0.0 < d_low < d_high):
         raise ValueError(f"need 0 < d_low < d_high, got [{d_low!r}, {d_high!r}]")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 100:
+        raise ValueError(f"grid point count must be an integer >= 100, got {n!r}")
     n = int(n)
-    if n < 100:
-        raise ValueError(f"need at least 100 grid points, got {n}")
     _, x1, x2 = envelope_trace(geom, np.linspace(d_low, d_high, n))
     return empirical_correlation(x1, x2)
 

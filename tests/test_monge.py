@@ -1,6 +1,7 @@
 """Lattice checks: classifications, dual routes, edge handling."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -164,3 +165,30 @@ def test_report_records_grid_metadata():
     # The largest cell's rounding bound: sinr peaks at c(10, 0) = 10.
     assert 0.0 < report.tolerance < 8 * np.finfo(float).eps * 4 * 10.0
     assert report.method == "cross_difference"
+
+
+@pytest.mark.parametrize("n", [64.9, "48"])
+def test_grid_resolution_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="integer"):
+        check_cross_difference(builtin("sinr"), (0, 1, 0, 1), n=n)
+
+
+def test_numpy_integer_resolution_is_a_python_int():
+    report = check_mixed_partial(builtin("sinr"), (0, 1, 0, 1), n=np.int64(48))
+    assert report == check_mixed_partial(builtin("sinr"), (0, 1, 0, 1), n=48)
+    assert type(report.resolution) is int
+
+
+def test_modular_worst_on_negative_zeros_is_positive_zero():
+    flat = CostFunction("flat", lambda x, y: x + y, lambda x, y: -0.0)
+    report = check_mixed_partial(flat, (0, 1, 0, 1))
+    assert (report.classification, report.max_violation, report.violation_count) == ("modular", 0.0, 0)
+    assert math.copysign(1.0, report.max_violation) == 1.0
+
+
+def test_neither_reports_the_rarer_sign_and_its_excursion():
+    # d2c/dxdy = x - 2y: on the 3x3 grid of the unit box two nodes are
+    # positive (largest 1) and five negative (smallest -2).
+    cost = CostFunction("mixed", lambda x, y: x * x * y / 2 - x * y * y, lambda x, y: x - 2 * y)
+    report = check_mixed_partial(cost, (0, 1, 0, 1), n=3)
+    assert (report.classification, report.violation_count, report.max_violation) == ("neither", 2, 1.0)

@@ -145,6 +145,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             envelope_correlation(geom, 20.0, 50.0, 99)
 
+    @pytest.mark.parametrize("n", [150.9, "150"])
+    def test_correlation_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            envelope_correlation(_mast(dh=0.05), 20.0, 50.0, n)
+
+    def test_correlation_takes_a_numpy_integer_count(self):
+        geom = _mast(dh=0.05)
+        assert envelope_correlation(geom, 20.0, 50.0, np.int64(150)) == envelope_correlation(geom, 20.0, 50.0, 150)
+
 
 class TestNonFiniteEnvelope:
     """Finite fields whose envelope leaves the float range raise a typed error, never a warning."""
