@@ -96,10 +96,12 @@ def _make_mac_rate1(s=None, snr_db=None):
         try:
             s = 10.0 ** (-float(snr_db) / 10.0)
         except OverflowError:
-            raise ValueError(f"mac_rate1: snr_db={snr_db!r} overflows s = 10**(-snr_db/10)") from None
+            s = math.inf
     s = float(s)
     if not (s > 0.0 and math.isfinite(s)):
-        raise ValueError(f"mac_rate1: s must be positive, got {s!r}")
+        # An snr_db too high underflows s to 0; too low, it overflows.
+        given = "s" if snr_db is None else f"s = 10**(-snr_db/10) at snr_db={snr_db!r}"
+        raise ValueError(f"mac_rate1: {given} must be positive and finite, got {s!r}")
 
     return CostFunction(name="mac_rate1", fn=_mac_rate1, mixed_partial=_mac_rate1_partial, params={"s": s})
 

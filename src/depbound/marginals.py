@@ -71,6 +71,17 @@ class Marginal:
     name = "marginal"
     breakpoints = ()
     support = None
+    # Parameter name -> (lower bound, whether the bound itself is allowed).
+    _lower = {}
+
+    def __post_init__(self):
+        """Every parameter must be finite, and one named in ``_lower`` above its bound."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            bound, allowed = self._lower.get(field.name, (-math.inf, False))
+            if not (math.isfinite(value) and (value >= bound if allowed else value > bound)):
+                rule = f" and {'>=' if allowed else '>'} {bound:g}" if field.name in self._lower else ""
+                raise ValueError(f"{self.name}: {field.name} must be finite{rule}, got {value!r}")
 
     def cdf(self, x):
         """P(X <= x).  Defined on all finite reals; 0 below the support."""
@@ -94,10 +105,7 @@ class Exponential(Marginal):
 
     rate: float
     name = "exponential"
-
-    def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ValueError(f"exponential: rate must be positive, got {self.rate!r}")
+    _lower = {"rate": (0.0, False)}
 
     def _cdf(self, x):
         return np.where(x > 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
@@ -119,8 +127,7 @@ class Uniform(Marginal):
     name = "uniform"
 
     def __post_init__(self):
-        if not (math.isfinite(self.low) and math.isfinite(self.high)):
-            raise ValueError("uniform: bounds must be finite")
+        super().__post_init__()
         if not self.low < self.high:
             raise ValueError(f"uniform: need low < high, got [{self.low}, {self.high}]")
 
@@ -144,10 +151,7 @@ class Rayleigh(Marginal):
 
     sigma: float
     name = "rayleigh"
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"rayleigh: sigma must be positive, got {self.sigma!r}")
+    _lower = {"sigma": (0.0, False)}
 
     def _cdf(self, x):
         z = np.maximum(x, 0.0) / self.sigma
@@ -176,12 +180,7 @@ class Nakagami(Marginal):
     m: float
     omega: float
     name = "nakagami"
-
-    def __post_init__(self):
-        if not (self.m >= 0.5 and math.isfinite(self.m)):
-            raise ValueError(f"nakagami: m must be >= 0.5, got {self.m!r}")
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError(f"nakagami: omega must be positive, got {self.omega!r}")
+    _lower = {"m": (0.5, True), "omega": (0.0, False)}
 
     def _cdf(self, x):
         z = np.maximum(x, 0.0)
@@ -203,12 +202,7 @@ class LogNormal(Marginal):
     mu: float
     sigma: float
     name = "lognormal"
-
-    def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ValueError("lognormal: mu must be finite")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"lognormal: sigma must be positive, got {self.sigma!r}")
+    _lower = {"sigma": (0.0, False)}
 
     def _cdf(self, x):
         out = np.zeros_like(x)
@@ -244,12 +238,7 @@ class Rician(Marginal):
     k: float
     scale: float
     name = "rician"
-
-    def __post_init__(self):
-        if not (self.k >= 0.0 and math.isfinite(self.k)):
-            raise ValueError(f"rician: k must be >= 0, got {self.k!r}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"rician: scale must be positive, got {self.scale!r}")
+    _lower = {"k": (0.0, True), "scale": (0.0, False)}
 
     def _cdf(self, x):
         return _special().chndtr((np.maximum(x, 0.0) / self.scale) ** 2, 2.0, 2.0 * self.k)
@@ -274,6 +263,7 @@ class Bernoulli(Marginal):
     support = (0.0, 1.0)
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"bernoulli: p must be in [0, 1], got {self.p!r}")
 

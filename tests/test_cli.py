@@ -490,6 +490,10 @@ class TestUsageErrors:
         _fail(capsys, ["bounds", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:1",
                        "--json", "--csv"], 1)
 
+    def test_infinite_marginal_parameter(self, capsys):
+        assert "exponential: rate must be finite" in _fail(
+            capsys, ["bounds", "--cost", "sinr", "--fx", "exp:inf", "--fy", "exp:1"], 1)
+
     def test_bad_coupling_choice(self, capsys):
         _fail(capsys, ["mc", "--cost", "sinr", "--fx", "exp:1", "--fy", "exp:1",
                        "--coupling", "comonotone", "--n", "1000"], 1)

@@ -58,12 +58,18 @@ def test_mac_rate1_snr_db_parameterization():
         builtin("mac_rate1", s=-2.0)
 
 
-@pytest.mark.parametrize("snr_db", [-4000.0, -3090.0])
+@pytest.mark.parametrize("snr_db", [-4000.0, -3090.0, -math.inf, math.nan, 4000.0])
 def test_snr_db_beyond_float_range_is_value_error(snr_db):
-    # 10**(-snr_db/10) overflows a float: a ValueError naming snr_db,
-    # not the OverflowError of the power.
+    # 10**(-snr_db/10) overflows a float, is NaN or underflows to 0: a
+    # ValueError naming snr_db, not the OverflowError of the power nor an
+    # s the caller never passed.
     with pytest.raises(ValueError, match="snr_db"):
         builtin("mac_rate1", snr_db=snr_db)
+
+
+def test_infinite_s_is_refused_as_not_finite():
+    with pytest.raises(ValueError, match="s must be positive and finite, got inf"):
+        builtin("mac_rate1", s=math.inf)
 
 
 @pytest.mark.parametrize(

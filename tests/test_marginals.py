@@ -1,6 +1,7 @@
 """Marginal families: round trips, closed-form moments, sampling."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,21 @@ def test_parse_marginal_rejects(text):
 def test_invalid_parameters_raise(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize(
+    "dist",
+    [Exponential(1.0), Uniform(0.0, 1.0), Rayleigh(1.0), Nakagami(1.0, 1.0),
+     LogNormal(0.0, 1.0), Rician(1.0, 1.0), Bernoulli(0.5)],
+    ids=lambda dist: dist.name,
+)
+def test_invalid_parameters_raise_on_infinity(dist, value):
+    # Each parameter in turn: the message names the family, the parameter
+    # and the rule, which always starts with "finite".
+    for field in fields(dist):
+        with pytest.raises(ValueError, match=rf"^{dist.name}: {field.name} must be finite\b.*got {value!r}$"):
+            replace(dist, **{field.name: value})
 
 
 def test_bernoulli_steps_at_its_breakpoint():
