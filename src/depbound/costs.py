@@ -5,7 +5,8 @@ whose exact sign ``check_mixed_partial`` reads as the second lattice
 route beside the cross-differences: ``mac_rate1`` by its factory, every
 other builtin as one row of ``_FIXED``.  Arguments must be nonnegative
 (channel gains or envelopes); negative input raises rather than clamps,
-since a negative gain always means a caller bug.
+since a negative gain always means a caller bug.  A builtin writes only
+into the one temporary it allocates (``_fresh``), never into its input.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class CostFunction:
     arrays of nonnegative floats, and take ``params`` as keyword
     arguments.  Call the instance directly; the call validates the domain
     once, delegates, and broadcasts a result that ignores an argument (a
-    constant, or f(y) alone) to the arguments' broadcast shape.
+    constant, or f(y) alone) to the arguments' broadcast shape.  The
+    builtins write only into temporaries they allocate themselves.
     """
 
     name: str
@@ -61,7 +63,7 @@ def _check_domain(name, x, y):
     ends = []
     for arg in (np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
         if arg.size:
-            ends += (arg.min(), arg.max())
+            ends += (np.minimum.reduce(arg, axis=None), np.maximum.reduce(arg, axis=None))
     if not all(map(math.isfinite, ends)):
         raise ValueError(f"cost {name!r}: arguments must be finite")
     if min(ends, default=0.0) < 0.0:
@@ -73,10 +75,20 @@ def _broadcast(value, x, y):
     return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
 
+def _fresh(x, y, fill):
+    # ``fill(t)`` on a new array t of the (x, y) broadcast shape, where a builtin finishes its
+    # textbook expression with the same IEEE operations in the same order; a scalar if that is ().
+    return fill(np.empty(np.broadcast(x, y).shape))[()]
+
+
 def _mac_rate1(x, y, s):
     # log2(1 + x/(s+y)) written as a log difference; log1p(x/(s+y))
     # loses nothing here and avoids a huge intermediate for tiny s.
-    return np.log1p(x / (s + y)) / _LN2
+    def fill(t):
+        np.divide(x, np.add(s, y, out=t), out=t)
+        return np.divide(np.log1p(t, out=t), _LN2, out=t)
+
+    return _fresh(x, y, fill)
 
 
 def _mac_rate1_partial(x, y, s):
@@ -111,13 +123,16 @@ _unit_noise_partial = functools.partial(_mac_rate1_partial, s=1.0)
 # Each builtin without parameters, once: name -> (c(x, y), d2c/dxdy).
 _FIXED = {
     # Signal power x against interference power y on unit noise.
-    "sinr": (lambda x, y: x / (1.0 + y), lambda x, y: -1.0 / (1.0 + y) ** 2),
-    "sum_rate": (lambda x, y: np.log1p(x + y) / _LN2, _unit_noise_partial),
+    "sinr": (lambda x, y: _fresh(x, y, lambda t: np.divide(x, np.add(1.0, y, out=t), out=t)),
+             lambda x, y: -1.0 / (1.0 + y) ** 2),
+    "sum_rate": (lambda x, y: _fresh(x, y, lambda t: np.divide(np.log1p(np.add(x, y, out=t), out=t), _LN2, out=t)),
+                 _unit_noise_partial),
     # log2((1+x+y)/(1+y)): what the pair can agree on minus what the
     # second channel leaks, i.e. mac_rate1 at s = 1; its one log1p(x/(1+y))
     # keeps the digits a difference of two logs cancels when x << y.
     "secret_key": (functools.partial(_mac_rate1, s=1.0), _unit_noise_partial),
-    "prop_fair": (lambda x, y: np.log1p(x) * np.log1p(y), lambda x, y: 1.0 / ((1.0 + x) * (1.0 + y))),
+    "prop_fair": (lambda x, y: _fresh(x, y, lambda t: np.multiply(np.log1p(x, out=t), np.log1p(y), out=t)),
+                  lambda x, y: 1.0 / ((1.0 + x) * (1.0 + y))),
     "product": (lambda x, y: x * y, lambda x, y: 1.0),
     "additive": (lambda x, y: x + y, lambda x, y: 0.0),
 }

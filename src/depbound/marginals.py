@@ -62,10 +62,11 @@ def _scalar_like(result, *inputs):
 class Marginal:
     """Common behaviour for one-dimensional marginal families.
 
-    Subclasses implement ``_cdf`` and ``_quantile`` on float arrays and a
-    ``mean`` method.  ``quantile`` is the exact inverse of ``cdf`` on the
-    interior of the support, which is what makes the coupling constructions
-    downstream exact rather than approximate.
+    Subclasses implement ``_cdf`` and ``_quantile`` on float arrays, the
+    latter at least 1-d and not to be written into, and a ``mean`` method.
+    ``quantile`` is the exact inverse of ``cdf`` on the interior of the
+    support, which is what makes the coupling constructions downstream
+    exact rather than approximate.
     """
 
     name = "marginal"
@@ -94,9 +95,10 @@ class Marginal:
         """Inverse cdf.  ``u`` must lie strictly inside (0, 1)."""
         arr = np.asarray(u, dtype=float)
         # min and max are NaN when any element is, and NaN fails both tests.
-        if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
+        if arr.size and not (np.minimum.reduce(arr, axis=None) > 0.0 and np.maximum.reduce(arr, axis=None) < 1.0):
             raise ValueError(f"{self.name}: quantile argument must be in the open interval (0, 1)")
-        return _scalar_like(self._quantile(arr), u)
+        # At least 1-d, so ufuncs return arrays that _quantile can finish in place.
+        return _scalar_like(self._quantile(np.atleast_1d(arr)).reshape(arr.shape), u)
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,10 @@ class Exponential(Marginal):
         return np.where(x > 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def _quantile(self, u):
-        # -log1p(-u) keeps full precision for u near 0.
-        return -np.log1p(-u) / self.rate
+        # -log1p(-u) / rate keeps full precision for u near 0; log1p(-u)
+        # divided by -rate is the same IEEE result, finished in one array.
+        out = np.negative(u)
+        return np.divide(np.log1p(out, out=out), -self.rate, out=out)
 
     def mean(self):
         return 1.0 / self.rate
@@ -139,7 +143,8 @@ class Uniform(Marginal):
         return np.clip((x - self.low) / (self.high - self.low), 0.0, 1.0)
 
     def _quantile(self, u):
-        return self.low + (self.high - self.low) * u
+        out = np.multiply(u, self.high - self.low)
+        return np.add(out, self.low, out=out)
 
     def mean(self):
         return 0.5 * (self.low + self.high)
@@ -158,7 +163,10 @@ class Rayleigh(Marginal):
         return np.where(x > 0.0, -np.expm1(-0.5 * z * z), 0.0)
 
     def _quantile(self, u):
-        return self.sigma * np.sqrt(-2.0 * np.log1p(-u))
+        # sigma * sqrt(-2 log1p(-u)), finished in its one array.
+        out = np.negative(u)
+        np.multiply(np.log1p(out, out=out), -2.0, out=out)
+        return np.multiply(np.sqrt(out, out=out), self.sigma, out=out)
 
     def mean(self):
         return self.sigma * math.sqrt(math.pi / 2.0)
@@ -211,7 +219,8 @@ class LogNormal(Marginal):
         return out
 
     def _quantile(self, u):
-        return np.exp(self.mu + self.sigma * _special().ndtri(u))
+        out = _special().ndtri(u)
+        return np.exp(np.add(np.multiply(out, self.sigma, out=out), self.mu, out=out), out=out)
 
     def mean(self):
         return math.exp(self.mu + 0.5 * self.sigma * self.sigma)

@@ -10,16 +10,17 @@ chunks and the chunks into up to ``_PARTS`` contiguous parts: the
 calling thread evaluates the first part and a thread pool the others.
 A part that starts at draw ``a`` of the sample draws from its own PCG64
 generator advanced by ``a`` steps, which is exactly the stream a
-sequential pass reaches at ``a``.  Each chunk draws its
-uniforms, maps them through the quantiles, checks draws and costs, and
-writes its mean and M2 into its own row of one ``(chunks, 2)`` array.
-Once every part has finished, the rows are merged in chunk order with the
-exact pairwise update of Chan, Golub & LeVeque, so the estimate is
-stable out to n = 1e8.  Memory is chunk-sized temporaries plus 16 bytes
-per chunk.  The result is defined by the chunk size and does not depend
-on ``_PARTS``, bit for bit.  The parts' results are read in part order,
-so when a sample holds two faults, the first chunk with a fault decides
-the error.
+sequential pass reaches at ``a``.  Each chunk draws its uniforms, maps
+them through the quantiles, checks draws and costs, and writes its mean
+and M2 into its own row of one ``(chunks, 2)`` array.  Once every part
+has finished, the rows are merged in chunk order with the exact pairwise
+update of Chan, Golub & LeVeque, so the estimate is stable out to
+n = 1e8.  Memory is, per part, its uniform draw buffers and one
+deviation scratch buffer, allocated once; per chunk, one temporary for
+each quantile and each cost call; and 16 bytes per chunk.  The result
+is defined by the chunk size and does not depend on ``_PARTS``, bit for
+bit.  The parts' results are read in part order, so when a sample holds
+two faults, the first chunk with a fault decides the error.
 """
 
 from __future__ import annotations
@@ -71,39 +72,51 @@ class McEstimate:
 def _check_finite(cost, x, y):
     # Draws can overflow before the cost ever runs (heavy-tailed
     # quantiles); both cases are numerical failures, not usage errors.
-    bad = ~(np.isfinite(x) & np.isfinite(y))
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise NonFiniteCostError(
-            f"marginal draw overflowed: (x={float(x[i])!r}, y={float(y[i])!r}) before cost {cost.name!r}"
-        )
+    # A sum is finite only when every term is, so only a non-finite sum
+    # scans for the first bad element; finite costs whose sum overflows
+    # pass here, and the moment check in mc_expectation reports them.
+    if not (np.isfinite(np.add.reduce(x)) and np.isfinite(np.add.reduce(y))):
+        bad = ~(np.isfinite(x) & np.isfinite(y))
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise NonFiniteCostError(
+                f"marginal draw overflowed: (x={float(x[i])!r}, y={float(y[i])!r}) before cost {cost.name!r}"
+            )
     values = np.asarray(cost(x, y), dtype=float)
-    if not np.all(np.isfinite(values)):
-        i = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFiniteCostError(
-            f"cost {cost.name!r} returned {float(values[i])!r} at (x={float(x[i])!r}, y={float(y[i])!r})"
-        )
-    return values
+    total = float(np.add.reduce(values))
+    if not np.isfinite(total):
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise NonFiniteCostError(
+                f"cost {cost.name!r} returned {float(values[i])!r} at (x={float(x[i])!r}, y={float(y[i])!r})"
+            )
+    return values, total
 
 
-def _uniforms(rng, k):
-    u = rng.random(k)
+def _uniforms(rng, out):
+    u = rng.random(out=out)
     return np.maximum(u, _U_MIN, out=u)
 
 
 def _evaluate_part(cost, fx, fy, t, seqs, n, first, stop, stats):
     """Write the mean and M2 of chunks ``first`` to ``stop - 1`` into ``stats``; ``t`` is None for independence."""
     rngs = [np.random.Generator(np.random.PCG64(seq).advance(first * _CHUNK)) for seq in seqs]
+    # Draw buffers and deviation scratch as long as the part's first, longest
+    # chunk; nothing is written into an array a quantile or the cost returned.
+    size = min(_CHUNK, n - first * _CHUNK)
+    draws = [np.empty(size) for _ in rngs]
+    scratch = np.empty(size)
     for j in range(first, stop):
         k = min(_CHUNK, n - j * _CHUNK)
-        u = _uniforms(rngs[0], k)
+        u = _uniforms(rngs[0], draws[0][:k])
         x = fx.quantile(u)
-        y = fy.quantile(_uniforms(rngs[1], k) if t is None else t(u))
-        values = _check_finite(cost, x, y)
+        y = fy.quantile(_uniforms(rngs[1], draws[1][:k]) if t is None else t(u))
+        values, total = _check_finite(cost, x, y)
         # np.mean's and np.sum's arithmetic without their Python wrappers,
         # which hold the GIL.
-        mean = float(np.add.reduce(values)) / k
-        dev = np.subtract(values, mean)
+        mean = total / k
+        dev = np.subtract(values, mean, out=scratch[:k])
         stats[j] = mean, float(np.add.reduce(np.square(dev, out=dev)))
 
 
@@ -128,9 +141,11 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
     integer of at least 100, small enough samples say nothing and hide
     stderr bugs, and ``seed`` a non-negative integer (``bool`` is neither).
     The sample is evaluated and its moments merged in chunks of
-    ``_CHUNK`` draws, which define the result; memory is chunk-sized
-    temporaries plus 16 bytes per chunk.  ``cost`` and the marginals may
-    be called from two threads at once.
+    ``_CHUNK`` draws, which define the result; memory is each part's draw
+    and deviation buffers, one temporary per quantile and cost call, and
+    16 bytes per chunk.  ``cost`` and the marginals may be called from two
+    threads at once, and may return arrays they do not own: the sampler
+    never writes into what they return.
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r} (known: {', '.join(COUPLINGS)})")

@@ -197,3 +197,52 @@ def test_spec_and_keyword_parameters_join():
 def test_repr_mentions_parameters():
     assert "s=0.5" in repr(builtin("mac_rate1", s=0.5))
     assert "sinr" in repr(builtin("sinr"))
+
+
+# Each builtin finished in place, against its textbook expression: the same
+# IEEE operations in the same order, so the same bits on every shape.
+_TEXTBOOK_COSTS = {
+    "sinr": lambda x, y: x / (1.0 + y),
+    "sum_rate": lambda x, y: np.log1p(x + y) / math.log(2.0),
+    "secret_key": lambda x, y: np.log1p(x / (1.0 + y)) / math.log(2.0),
+    "mac_rate1": lambda x, y: np.log1p(x / (0.37 + y)) / math.log(2.0),
+    "prop_fair": lambda x, y: np.log1p(x) * np.log1p(y),
+}
+
+
+def _in_place_builtin(name):
+    return builtin(name, s=0.37) if name == "mac_rate1" else builtin(name)
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+def _gains(shape, seed):
+    g = np.random.default_rng(seed).exponential(2.0, shape)
+    g.flat[:3] = 0.0, 1e-300, 1e300
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(_TEXTBOOK_COSTS))
+@pytest.mark.parametrize("x_shape, y_shape", [((1000,), (1000,)), ((40, 15), (40, 15)), ((40, 1), (40, 15)),
+                                              ((40, 15), (40, 1))], ids=str)
+def test_builtin_is_its_textbook_expression_bit_for_bit(name, x_shape, y_shape):
+    x, y = _gains(x_shape, 1), _gains(y_shape, 2)
+    before = x.copy(), y.copy()
+    got, want = _in_place_builtin(name)(x, y), _TEXTBOOK_COSTS[name](x, y)
+    assert isinstance(got, np.ndarray) and got.shape == want.shape == np.broadcast(x, y).shape
+    assert _hex(got) == _hex(want)
+    # A builtin writes only into the array it allocated.
+    np.testing.assert_array_equal(x, before[0])
+    np.testing.assert_array_equal(y, before[1])
+
+
+@pytest.mark.parametrize("name", sorted(_TEXTBOOK_COSTS))
+@pytest.mark.parametrize("wrap", [float, np.asarray], ids=["float", "0-d"])
+def test_scalar_builtin_is_its_textbook_expression_and_a_scalar(name, wrap):
+    x, y = wrap(0.3), wrap(2.5)
+    got = _in_place_builtin(name)(x, y)
+    # numpy's scalar, as ufuncs return it for 0-d input; a Python float is one too.
+    assert type(got) is np.float64
+    assert float.hex(got) == float.hex(float(_TEXTBOOK_COSTS[name](x, y)))

@@ -216,3 +216,40 @@ def test_bernoulli_steps_at_its_breakpoint():
     assert Bernoulli(0.0).breakpoints == Bernoulli(1.0).breakpoints == ()
     assert Bernoulli(0.0).quantile(1.0 - 1e-12) == 0.0 and Bernoulli(1.0).quantile(1e-12) == 1.0
     assert unit_quadrature(b.quantile).value == pytest.approx(0.3, abs=1e-8)
+
+
+# Each quantile finished in place, against its textbook expression: the
+# same IEEE operations, so the same bits on every shape a caller passes.
+_TEXTBOOK_QUANTILES = [
+    pytest.param(dist, textbook, id=dist.name)
+    for dist, textbook in [
+        (Exponential(2.7), lambda d, u: -np.log1p(-u) / d.rate),
+        (Uniform(-1.0, 3.0), lambda d, u: d.low + (d.high - d.low) * u),
+        (Rayleigh(0.7), lambda d, u: d.sigma * np.sqrt(-2.0 * np.log1p(-u))),
+        (LogNormal(0.2, 0.8), lambda d, u: np.exp(d.mu + d.sigma * special.ndtri(u))),
+    ]
+]
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("dist, textbook", _TEXTBOOK_QUANTILES)
+@pytest.mark.parametrize("shape", [(1000,), (40, 15), (40, 1)], ids=str)
+def test_quantile_is_its_textbook_expression_bit_for_bit(dist, textbook, shape):
+    u = np.maximum(np.random.default_rng(5).random(shape), 2.0**-53)
+    u.flat[:3] = 2.0**-53, 0.5, 1.0 - 2.0**-53
+    before = u.copy()
+    got, want = dist.quantile(u), textbook(dist, u)
+    assert isinstance(got, np.ndarray) and got.shape == want.shape == shape
+    assert _hex(got) == _hex(want)
+    np.testing.assert_array_equal(u, before)
+
+
+@pytest.mark.parametrize("dist, textbook", _TEXTBOOK_QUANTILES)
+@pytest.mark.parametrize("level", [0.3, np.asarray(0.3), 2.0**-53, np.asarray(1.0 - 2.0**-53)], ids=repr)
+def test_scalar_quantile_is_its_textbook_expression_and_a_float(dist, textbook, level):
+    got = dist.quantile(level)
+    assert type(got) is float
+    assert float.hex(got) == float.hex(float(textbook(dist, np.asarray(level))))

@@ -55,6 +55,18 @@ class _Split:
         return np.where(u < self.lo, -1.0, np.where(u > self.hi, np.inf, E1.quantile(u)))
 
 
+class _Echo:
+    """A duck-typed marginal whose quantile returns the array it was given, or a copy."""
+
+    name = "echo"
+
+    def __init__(self, copy):
+        self.copy = copy
+
+    def quantile(self, u):
+        return np.array(u) if self.copy else u
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         cost = builtin("sinr")
@@ -123,6 +135,26 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    def test_quantiles_and_costs_may_return_arrays_they_do_not_own(self, coupling, parts, monkeypatch):
+        # The sampler writes into no array a quantile or the cost returns:
+        # echoing the draws gives what copying them gives, and a cost that
+        # returns a view of the caller's array leaves that array as it was.
+        monkeypatch.setattr(sampler, "_PARTS", parts)
+        n = 3 * _CHUNK + 7
+        echo = mc_expectation(CostFunction("id", lambda x, y: x), _Echo(False), _Echo(False), coupling, n, seed=5)
+        copy = mc_expectation(CostFunction("id", lambda x, y: x.copy()), _Echo(True), _Echo(True), coupling, n,
+                              seed=5)
+        assert echo == copy
+        held = np.random.default_rng(3).random(_CHUNK)
+        kept = held.copy()
+        shared = mc_expectation(CostFunction("held", lambda x, y: held[:x.size]), E1, E2, coupling, n, seed=5)
+        copied = mc_expectation(CostFunction("held", lambda x, y: held[:x.size].copy()), E1, E2, coupling, n,
+                                seed=5)
+        assert shared == copied
+        np.testing.assert_array_equal(held, kept)
 
     def test_one_chunk_batches_start_no_thread(self, monkeypatch):
         class NoSubmit(ThreadPoolExecutor):
@@ -329,6 +361,19 @@ class TestErrorChannel:
         with pytest.raises(NonFiniteCostError, match="^moments of cost 'product' overflowed: "):
             mc_expectation(builtin("product"), parse_marginal("lognormal:0,150"), E1, "independent",
                            300_000, seed=3)
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_finite_costs_whose_chunk_sum_overflows_raise(self, monkeypatch, parts):
+        # Every cost is finite but each chunk's sum is not: the scan for the
+        # first bad cost finds none, and the moment check reports the overflow.
+        monkeypatch.setattr(sampler, "_PARTS", parts)
+        huge = CostFunction(name="huge", fn=lambda x, y: 1e306 * (x + y))
+        n = 2 * _CHUNK
+        values = huge(*_one_shot_draws(E1, E2, "comonotonic", n, seed=6))
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(values)) and not np.isfinite(np.add.reduce(values[:_CHUNK]))
+        with pytest.raises(NonFiniteCostError, match="^moments of cost 'huge' overflowed: "):
+            mc_expectation(huge, E1, E2, "comonotonic", n, seed=6)
 
     @pytest.mark.parametrize("rank, first_part", [(1, 1), (3, 0)], ids=["second-part-only", "both-parts"])
     def test_first_bad_draw_across_parts(self, monkeypatch, rank, first_part):
