@@ -52,6 +52,14 @@ def _per_level(invert, u):
     return invert(levels)[where].reshape(u.shape)
 
 
+def _into(result, out):
+    # The copy path of ``_quantile(u, out)`` for families that cannot finish in ``out``.
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
 def _scalar_like(result, *inputs):
     # Return a bare float when every input was scalar; arrays pass through.
     if all(np.ndim(v) == 0 for v in inputs):
@@ -62,8 +70,10 @@ def _scalar_like(result, *inputs):
 class Marginal:
     """Common behaviour for one-dimensional marginal families.
 
-    Subclasses implement ``_cdf`` and ``_quantile`` on float arrays, the
-    latter at least 1-d and not to be written into, and a ``mean`` method.
+    Subclasses implement ``_cdf`` and ``_quantile(u, out=None)`` on float
+    arrays, and a ``mean`` method.  ``_quantile`` gets ``u`` at least 1-d
+    and must not write into it; when ``out`` is given, a float array of
+    u's shape, it writes the result into ``out`` and returns it.
     ``quantile`` is the exact inverse of ``cdf`` on the interior of the
     support, which is what makes the coupling constructions downstream
     exact rather than approximate.
@@ -91,12 +101,19 @@ class Marginal:
             raise ValueError(f"{self.name}: cdf argument must be finite")
         return _scalar_like(self._cdf(arr), x)
 
-    def quantile(self, u):
-        """Inverse cdf.  ``u`` must lie strictly inside (0, 1)."""
+    def quantile(self, u, out=None):
+        """Inverse cdf.  ``u`` must lie strictly inside (0, 1).
+
+        As with a numpy ufunc, ``out``, a float array of u's shape, receives
+        the result and is returned; the bits are those of ``quantile(u)``.
+        """
         arr = np.asarray(u, dtype=float)
         # min and max are NaN when any element is, and NaN fails both tests.
         if arr.size and not (np.minimum.reduce(arr, axis=None) > 0.0 and np.maximum.reduce(arr, axis=None) < 1.0):
             raise ValueError(f"{self.name}: quantile argument must be in the open interval (0, 1)")
+        if out is not None:
+            self._quantile(np.atleast_1d(arr), np.atleast_1d(out))
+            return out
         # At least 1-d, so ufuncs return arrays that _quantile can finish in place.
         return _scalar_like(self._quantile(np.atleast_1d(arr)).reshape(arr.shape), u)
 
@@ -112,10 +129,10 @@ class Exponential(Marginal):
     def _cdf(self, x):
         return np.where(x > 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)), 0.0)
 
-    def _quantile(self, u):
+    def _quantile(self, u, out=None):
         # -log1p(-u) / rate keeps full precision for u near 0; log1p(-u)
         # divided by -rate is the same IEEE result, finished in one array.
-        out = np.negative(u)
+        out = np.negative(u, out=out)
         return np.divide(np.log1p(out, out=out), -self.rate, out=out)
 
     def mean(self):
@@ -142,8 +159,8 @@ class Uniform(Marginal):
     def _cdf(self, x):
         return np.clip((x - self.low) / (self.high - self.low), 0.0, 1.0)
 
-    def _quantile(self, u):
-        out = np.multiply(u, self.high - self.low)
+    def _quantile(self, u, out=None):
+        out = np.multiply(u, self.high - self.low, out=out)
         return np.add(out, self.low, out=out)
 
     def mean(self):
@@ -162,9 +179,9 @@ class Rayleigh(Marginal):
         z = np.maximum(x, 0.0) / self.sigma
         return np.where(x > 0.0, -np.expm1(-0.5 * z * z), 0.0)
 
-    def _quantile(self, u):
+    def _quantile(self, u, out=None):
         # sigma * sqrt(-2 log1p(-u)), finished in its one array.
-        out = np.negative(u)
+        out = np.negative(u, out=out)
         np.multiply(np.log1p(out, out=out), -2.0, out=out)
         return np.multiply(np.sqrt(out, out=out), self.sigma, out=out)
 
@@ -194,8 +211,8 @@ class Nakagami(Marginal):
         z = np.maximum(x, 0.0)
         return np.where(x > 0.0, _special().gammainc(self.m, self.m * z * z / self.omega), 0.0)
 
-    def _quantile(self, u):
-        return _per_level(lambda v: np.sqrt(self.omega / self.m * _special().gammaincinv(self.m, v)), u)
+    def _quantile(self, u, out=None):
+        return _into(_per_level(lambda v: np.sqrt(self.omega / self.m * _special().gammaincinv(self.m, v)), u), out)
 
     def mean(self):
         # Gamma(m + 1/2) / Gamma(m) in log space; the ratio overflows early otherwise.
@@ -218,8 +235,8 @@ class LogNormal(Marginal):
         out[pos] = _special().ndtr((np.log(x[pos]) - self.mu) / self.sigma)
         return out
 
-    def _quantile(self, u):
-        out = _special().ndtri(u)
+    def _quantile(self, u, out=None):
+        out = _special().ndtri(u, out=out)
         return np.exp(np.add(np.multiply(out, self.sigma, out=out), self.mu, out=out), out=out)
 
     def mean(self):
@@ -252,8 +269,8 @@ class Rician(Marginal):
     def _cdf(self, x):
         return _special().chndtr((np.maximum(x, 0.0) / self.scale) ** 2, 2.0, 2.0 * self.k)
 
-    def _quantile(self, u):
-        return _per_level(lambda v: self.scale * np.sqrt(_special().chndtrix(v, 2.0, 2.0 * self.k)), u)
+    def _quantile(self, u, out=None):
+        return _into(_per_level(lambda v: self.scale * np.sqrt(_special().chndtrix(v, 2.0, 2.0 * self.k)), u), out)
 
     def mean(self):
         # scale * sqrt(pi/2) * exp(-k/2) * ((1+k) I0(k/2) + k I1(k/2)), with
@@ -283,8 +300,8 @@ class Bernoulli(Marginal):
     def _cdf(self, x):
         return np.where(x < 0.0, 0.0, np.where(x < 1.0, 1.0 - self.p, 1.0))
 
-    def _quantile(self, u):
-        return (u > 1.0 - self.p).astype(float)
+    def _quantile(self, u, out=None):
+        return _into((u > 1.0 - self.p).astype(float), out)
 
     def mean(self):
         return self.p

@@ -15,12 +15,22 @@ them through the quantiles, checks draws and costs, and writes its mean
 and M2 into its own row of one ``(chunks, 2)`` array.  Once every part
 has finished, the rows are merged in chunk order with the exact pairwise
 update of Chan, Golub & LeVeque, so the estimate is stable out to
-n = 1e8.  Memory is, per part, its uniform draw buffers and one
-deviation scratch buffer, allocated once; per chunk, one temporary for
-each quantile and each cost call; and 16 bytes per chunk.  The result
-is defined by the chunk size and does not depend on ``_PARTS``, bit for
-bit.  The parts' results are read in part order, so when a sample holds
-two faults, the first chunk with a fault decides the error.
+n = 1e8.
+
+Memory: each part takes four chunk-length buffers from a module-level
+free list, for u, the second stream's draws or T(u), x and y, and puts
+them back when it ends, also when it raises; the list keeps the buffers
+of the most parts ever in flight at once (1 MiB per part) for the life
+of the process.  A ``Marginal`` inverts into the x and y buffers through
+``quantile(u, out=...)``, the countermonotonic map writes 1 - u into
+its buffer, and the deviations overwrite u, so per chunk only the
+cost's result is allocated (the builtin ``prop_fair`` makes one
+temporary more), plus 16 bytes per chunk for the moments.  A duck-typed
+marginal is called as ``quantile(u)`` and its result used as it comes.
+The result is defined by the chunk size and does not depend on
+``_PARTS``, bit for bit.  The parts' results are read in part order, so
+when a sample holds two faults, the first chunk with a fault decides
+the error.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .marginals import Marginal
 from .transport import COUPLING_MAPS
 
 __all__ = [
@@ -49,12 +60,25 @@ COUPLINGS = (*COUPLING_MAPS, "independent")
 _U_MIN = 2.0**-53
 
 # Draws evaluated and merged at once: large enough to amortize numpy's
-# per-call overhead, small enough that the temporaries of the chunks in
-# flight, one per part, stay in cache.  Changing it moves result bits.
+# per-call overhead, small enough that the buffers of the chunks in
+# flight, one set per part, stay in cache.  Changing it moves result bits.
 _CHUNK = 1 << 15
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # Parts of the sample evaluated at once, one thread each; numpy and
 # scipy.special ufuncs release the GIL, so the parts overlap.
-_PARTS = min(2, os.cpu_count() or 1)
+_PARTS = min(2, _usable_cpus())
+
+# Chunk-length buffers that finished parts put back for the next ones to
+# take.  list.pop and list.extend are atomic, so threads share it unlocked.
+_FREE_BUFFERS = []
 
 
 class NonFiniteCostError(NumericalError):
@@ -94,30 +118,44 @@ def _check_finite(cost, x, y):
     return values, total
 
 
+def _take_buffer():
+    try:
+        return _FREE_BUFFERS.pop()
+    except IndexError:
+        return np.empty(_CHUNK)
+
+
 def _uniforms(rng, out):
     u = rng.random(out=out)
     return np.maximum(u, _U_MIN, out=u)
 
 
+def _quantile(marginal, u, out):
+    # A Marginal inverts into the sampler's buffer; a duck-typed one is called as it always was.
+    return marginal.quantile(u, out=out) if isinstance(marginal, Marginal) else marginal.quantile(u)
+
+
 def _evaluate_part(cost, fx, fy, t, seqs, n, first, stop, stats):
     """Write the mean and M2 of chunks ``first`` to ``stop - 1`` into ``stats``; ``t`` is None for independence."""
     rngs = [np.random.Generator(np.random.PCG64(seq).advance(first * _CHUNK)) for seq in seqs]
-    # Draw buffers and deviation scratch as long as the part's first, longest
-    # chunk; nothing is written into an array a quantile or the cost returned.
-    size = min(_CHUNK, n - first * _CHUNK)
-    draws = [np.empty(size) for _ in rngs]
-    scratch = np.empty(size)
-    for j in range(first, stop):
-        k = min(_CHUNK, n - j * _CHUNK)
-        u = _uniforms(rngs[0], draws[0][:k])
-        x = fx.quantile(u)
-        y = fy.quantile(_uniforms(rngs[1], draws[1][:k]) if t is None else t(u))
-        values, total = _check_finite(cost, x, y)
-        # np.mean's and np.sum's arithmetic without their Python wrappers,
-        # which hold the GIL.
-        mean = total / k
-        dev = np.subtract(values, mean, out=scratch[:k])
-        stats[j] = mean, float(np.add.reduce(np.square(dev, out=dev)))
+    buffers = [_take_buffer() for _ in range(4)]
+    try:
+        u_buf, v_buf, x_buf, y_buf = buffers
+        for j in range(first, stop):
+            k = min(_CHUNK, n - j * _CHUNK)
+            u = _uniforms(rngs[0], u_buf[:k])
+            x = _quantile(fx, u, x_buf[:k])
+            v = _uniforms(rngs[1], v_buf[:k]) if t is None else t(u, out=v_buf[:k])
+            y = _quantile(fy, v, y_buf[:k])
+            values, total = _check_finite(cost, x, y)
+            # np.mean's and np.sum's arithmetic without their Python wrappers,
+            # which hold the GIL.  The deviations overwrite u, which no later
+            # step of the chunk reads; values may be u itself (echoing marginal and cost).
+            mean = total / k
+            dev = np.subtract(values, mean, out=u)
+            stats[j] = mean, float(np.add.reduce(np.square(dev, out=dev)))
+    finally:
+        _FREE_BUFFERS.extend(buffers)
 
 
 def _merge(stats, n):
@@ -141,11 +179,14 @@ def mc_expectation(cost, fx, fy, coupling, n, seed):
     integer of at least 100, small enough samples say nothing and hide
     stderr bugs, and ``seed`` a non-negative integer (``bool`` is neither).
     The sample is evaluated and its moments merged in chunks of
-    ``_CHUNK`` draws, which define the result; memory is each part's draw
-    and deviation buffers, one temporary per quantile and cost call, and
-    16 bytes per chunk.  ``cost`` and the marginals may be called from two
-    threads at once, and may return arrays they do not own: the sampler
-    never writes into what they return.
+    ``_CHUNK`` draws, which define the result.  Each part reuses four
+    chunk-length buffers from the module's free list; a ``Marginal``
+    inverts into two of them, so per chunk only the cost's result is
+    allocated, plus 16 bytes per chunk.  ``cost`` and the marginals may be
+    called from two threads at once, and may return arrays they do not
+    own: the sampler writes only into its own buffers.  A duck-typed
+    marginal's ``quantile(u)`` may return ``u`` itself, and ``cost`` may
+    return x or y: those are the sampler's buffers, read before reuse.
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r} (known: {', '.join(COUPLINGS)})")

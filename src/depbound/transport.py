@@ -81,9 +81,14 @@ _EPS = 1e-9
 _MAX_SUBDIVISIONS = 100_000
 
 # The dependent couplings as measure-preserving maps T of (0, 1), Y = qy(T(U)), read by
-# the quadrature and the Monte Carlo oracle.  A map returns a new array or ``u`` itself
-# and never writes into ``u``: a marginal may return its input as x.
-COUPLING_MAPS = {"comonotonic": lambda u: u, "countermonotonic": lambda u: 1.0 - u}
+# the quadrature, which calls ``map(u)``, and the Monte Carlo oracle, which passes a buffer
+# as ``out``.  A map returns ``u`` itself or writes T(u) into ``out`` when it is given (a
+# new array otherwise), numpy's ``out=`` convention, and never writes into ``u``: a
+# marginal may return its input as x.
+COUPLING_MAPS = {
+    "comonotonic": lambda u, out=None: u,
+    "countermonotonic": lambda u, out=None: np.subtract(1.0, u, out=out),
+}
 
 
 @dataclass(frozen=True)

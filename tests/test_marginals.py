@@ -220,6 +220,7 @@ def test_bernoulli_steps_at_its_breakpoint():
 
 # Each quantile finished in place, against its textbook expression: the
 # same IEEE operations, so the same bits on every shape a caller passes.
+# Nakagami, Rician and Bernoulli compute apart and copy into ``out``.
 _TEXTBOOK_QUANTILES = [
     pytest.param(dist, textbook, id=dist.name)
     for dist, textbook in [
@@ -227,6 +228,9 @@ _TEXTBOOK_QUANTILES = [
         (Uniform(-1.0, 3.0), lambda d, u: d.low + (d.high - d.low) * u),
         (Rayleigh(0.7), lambda d, u: d.sigma * np.sqrt(-2.0 * np.log1p(-u))),
         (LogNormal(0.2, 0.8), lambda d, u: np.exp(d.mu + d.sigma * special.ndtri(u))),
+        (Nakagami(1.7, 0.9), lambda d, u: np.sqrt(d.omega / d.m * special.gammaincinv(d.m, u))),
+        (Rician(2.5, 0.6), lambda d, u: d.scale * np.sqrt(special.chndtrix(u, 2.0, 2.0 * d.k))),
+        (Bernoulli(0.3), lambda d, u: (u > 1.0 - d.p).astype(float)),
     ]
 ]
 
@@ -244,6 +248,9 @@ def test_quantile_is_its_textbook_expression_bit_for_bit(dist, textbook, shape):
     got, want = dist.quantile(u), textbook(dist, u)
     assert isinstance(got, np.ndarray) and got.shape == want.shape == shape
     assert _hex(got) == _hex(want)
+    buf = np.empty(shape)
+    assert dist.quantile(u, out=buf) is buf
+    assert _hex(buf) == _hex(got)
     np.testing.assert_array_equal(u, before)
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo cross-checks: determinism, CLT agreement, coupling structure."""
 
 import math
+import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -119,6 +120,36 @@ class TestDeterminism:
         assert peak < 6e6
 
     @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
+    def test_a_warm_part_allocates_only_the_costs(self, coupling, monkeypatch):
+        # With the free list holding a part's buffers, a chunk allocates only
+        # sinr's result; the previous chunk's is alive while it is made.
+        monkeypatch.setattr(sampler, "_PARTS", 1)
+        cost = builtin("sinr")
+        mc_expectation(cost, E1, E2, coupling, 1_000, seed=1)
+        tracemalloc.start()
+        try:
+            mc_expectation(cost, E1, E2, coupling, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * _CHUNK + 32 * 1024
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_a_call_that_raised_leaves_the_next_call_unchanged(self, parts, monkeypatch):
+        # The failing parts put their buffers back mid-sample, dirty; the
+        # next call takes those same buffers and must not read what they hold.
+        monkeypatch.setattr(sampler, "_PARTS", parts)
+        cost, fx = builtin("sinr"), LogNormal(0.0, 0.5)
+        n = 3 * _CHUNK + 7
+        before = mc_expectation(cost, fx, E2, "countermonotonic", n, seed=11)
+        held = sorted(map(id, sampler._FREE_BUFFERS))
+        fat = LogNormal(0.0, 1_000.0)
+        with pytest.raises(NonFiniteCostError, match="overflow"):
+            mc_expectation(builtin("product"), fat, fat, "comonotonic", 4 * _CHUNK, seed=1)
+        assert sorted(map(id, sampler._FREE_BUFFERS)) == held
+        assert mc_expectation(cost, fx, E2, "countermonotonic", n, seed=11) == before
+
+    @pytest.mark.parametrize("coupling", sorted(COUPLINGS))
     def test_result_does_not_depend_on_the_parts(self, coupling, monkeypatch):
         # Eleven chunks, the last three draws long; three parts put more
         # threads than cores on a two-core host, and a short switch interval
@@ -165,6 +196,17 @@ class TestDeterminism:
         monkeypatch.setattr(sampler, "ThreadPoolExecutor", NoSubmit)
         est = mc_expectation(builtin("sinr"), E1, E2, "comonotonic", _CHUNK, seed=4)
         assert est.n == _CHUNK
+
+    def test_parts_count_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # Pinned to one CPU of two, as under `taskset -c 0`, the sampler runs one part.
+        assert sampler._PARTS == min(2, sampler._usable_cpus())
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sampler._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert sampler._usable_cpus() == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sampler._usable_cpus() == 1
 
     def test_scalar_cost_broadcasts_over_the_chunk(self):
         const = CostFunction(name="const", fn=lambda x, y: 2.5)
@@ -214,7 +256,7 @@ class TestValidation:
 
     def test_dependent_draws_read_the_coupling_table(self, monkeypatch):
         cost = builtin("sinr")
-        monkeypatch.setitem(COUPLING_MAPS, "countermonotonic", lambda u: u)
+        monkeypatch.setitem(COUPLING_MAPS, "countermonotonic", lambda u, out=None: u)
         counter = mc_expectation(cost, E1, E2, "countermonotonic", 40_000, seed=5)
         assert counter == mc_expectation(cost, E1, E2, "comonotonic", 40_000, seed=5)
 

@@ -244,15 +244,17 @@ class TestCouplingExpectations:
 
     def test_the_coupling_table_is_the_only_source(self, monkeypatch):
         cost = builtin("sinr")
-        monkeypatch.setitem(COUPLING_MAPS, "countermonotonic", lambda u: u)
+        monkeypatch.setitem(COUPLING_MAPS, "countermonotonic", lambda u, out=None: u)
         assert countermonotonic_expectation(cost, E1, E2) == comonotonic_expectation(cost, E1, E2)
 
     @pytest.mark.parametrize("name", sorted(COUPLING_MAPS))
     def test_coupling_maps_preserve_the_midpoint_grid(self, name):
         # A measure-preserving map permutes the midpoints u_i = (i - 1/2)/N,
-        # stays strictly inside (0, 1), and leaves its argument untouched.
+        # stays strictly inside (0, 1), and leaves its argument untouched,
+        # also when it writes into ``out``.
         u = (np.arange(1, 1025) - 0.5) / 1024
         image = np.asarray(COUPLING_MAPS[name](u), dtype=float)
+        assert np.array_equal(COUPLING_MAPS[name](u, out=np.empty_like(u)), image)
         assert np.array_equal(u, (np.arange(1, 1025) - 0.5) / 1024)
         assert np.all((image > 0.0) & (image < 1.0))
         np.testing.assert_allclose(np.sort(image), u, rtol=0.0, atol=1e-15)
